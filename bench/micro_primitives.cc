@@ -31,7 +31,8 @@ void BM_EngineScheduleFire(benchmark::State& state) {
 BENCHMARK(BM_EngineScheduleFire);
 
 void BM_ProcessHandoff(benchmark::State& state) {
-  // Cost of one process suspend/resume round (two thread context switches).
+  // Cost of one process suspend/resume round (two fiber stack switches plus
+  // the delay's event).
   for (auto _ : state) {
     state.PauseTiming();
     sim::Simulation s;

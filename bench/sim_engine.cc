@@ -1,6 +1,7 @@
-// Simulator-core benchmark: timing wheel vs. reference heap (DESIGN.md §12).
+// Simulator-core benchmark: timing wheel vs. reference heap (DESIGN.md §12),
+// plus the cost of handing control to simulated processes (DESIGN.md §5).
 //
-// Five event mixes modeled on what the protocol stacks actually generate:
+// Six event mixes modeled on what the protocol stacks actually generate:
 //
 //   uniform       steady-state random horizons within the wheel's L0 span
 //                 (the fabric's frame/ACK traffic)
@@ -13,6 +14,10 @@
 //   open_loop     the workload-generator pattern: exponential-ish arrival
 //                 gaps, small same-timestamp fan-out per arrival, and a
 //                 drain timer per batch that is almost always cancelled
+//   app_pingpong  the application pattern: pairs of processes in
+//                 request/reply ping-pong over channels with a service
+//                 delay per message — every event resumes a process, so
+//                 this mix gates the process hand-off, not the queue
 //
 // Each mix runs on both QueueKind implementations with identical seeds; the
 // trace digests must agree (a benchmark that drifts from the contract is
@@ -24,6 +29,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -35,6 +41,8 @@
 #include "common/cli.h"
 #include "common/units.h"
 #include "sim/engine.h"
+#include "sim/simulation.h"
+#include "sim/sync.h"
 
 namespace sv {
 namespace {
@@ -57,18 +65,19 @@ struct MixMeasurement {
   }
 };
 
-/// Runs `mix(engine, rng)` under a wall clock and collects the contract
+/// Runs `mix(sim, rng)` under a wall clock and collects the contract
 /// evidence (fired count, digest) alongside the rates.
 template <typename Mix>
 MixMeasurement run_mix(QueueKind kind, std::uint64_t seed, const Mix& mix) {
-  Engine e(kind);
+  sim::Simulation s(kind);
   std::mt19937_64 rng(seed);
   // This binary measures host throughput, so wall time IS the measurement,
   // not simulated state. svlint:allow(SV004)
   const auto t0 = std::chrono::steady_clock::now();
-  mix(e, rng);
+  mix(s, rng);
   // svlint:allow(SV004) — see above.
   const auto t1 = std::chrono::steady_clock::now();
+  const Engine& e = s.engine();
   MixMeasurement m;
   m.events_fired = e.events_fired();
   m.trace_digest = e.trace_digest();
@@ -171,6 +180,38 @@ void mix_open_loop(Engine& e, std::mt19937_64& rng, std::uint64_t arrivals) {
   e.run();
 }
 
+/// The application pattern: `kPairs` client/server process pairs, each
+/// client sending requests over a one-slot channel and blocking on the
+/// reply, each side spending a random service delay per message. Roughly
+/// four events per round trip, every one of which resumes a process.
+void mix_app_pingpong(sim::Simulation& s, std::mt19937_64& rng,
+                      std::uint64_t round_trips) {
+  using Chan = sim::Channel<std::uint64_t>;
+  constexpr std::uint64_t kPairs = 64;
+  std::uniform_int_distribution<std::int64_t> service(100, 5'000);  // ns
+  std::deque<Chan> chans;  // stable addresses for the processes' references
+  for (std::uint64_t p = 0; p < kPairs; ++p) {
+    Chan& req = chans.emplace_back(&s, 1);
+    Chan& reply = chans.emplace_back(&s, 1);
+    s.spawn("client", [&s, &rng, &service, &req, &reply,
+                       n = round_trips / kPairs] {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        s.delay(SimTime::nanoseconds(service(rng)));
+        req.send(i);
+        (void)reply.recv();
+      }
+      req.close();
+    });
+    s.spawn("server", [&s, &rng, &service, &req, &reply] {
+      while (const auto v = req.recv()) {
+        s.delay(SimTime::nanoseconds(service(rng)));
+        reply.send(*v);
+      }
+    });
+  }
+  s.run();
+}
+
 // ---- Driver ----------------------------------------------------------------
 
 struct MixResult {
@@ -225,8 +266,9 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string json_path = "BENCH_sim_engine.json";
   CliParser cli(
-      "Simulator-core benchmark: timing wheel vs reference heap across four "
-      "event mixes; emits BENCH_sim_engine.json.");
+      "Simulator-core benchmark: timing wheel vs reference heap across five "
+      "engine event mixes and one process hand-off mix; emits "
+      "BENCH_sim_engine.json.");
   cli.add_flag("quick", &quick, "scale event counts down ~10x (CI smoke)");
   cli.add_string("json", &json_path, "output JSON path");
   if (!cli.parse(argc, argv)) return 1;
@@ -237,24 +279,32 @@ int main(int argc, char** argv) {
 
   struct MixSpec {
     const char* name;
-    std::function<void(sim::Engine&, std::mt19937_64&)> body;
+    std::function<void(sim::Simulation&, std::mt19937_64&)> body;
   };
   const std::vector<MixSpec> mixes = {
       {"uniform",
-       [&](sim::Engine& e, std::mt19937_64& r) { mix_uniform(e, r, kEvents); }},
+       [&](sim::Simulation& s, std::mt19937_64& r) {
+         mix_uniform(s.engine(), r, kEvents);
+       }},
       {"bursty",
-       [&](sim::Engine& e, std::mt19937_64& r) { mix_bursty(e, r, kEvents); }},
+       [&](sim::Simulation& s, std::mt19937_64& r) {
+         mix_bursty(s.engine(), r, kEvents);
+       }},
       {"long_horizon",
-       [&](sim::Engine& e, std::mt19937_64& r) {
-         mix_long_horizon(e, r, kEvents);
+       [&](sim::Simulation& s, std::mt19937_64& r) {
+         mix_long_horizon(s.engine(), r, kEvents);
        }},
       {"cancel_heavy",
-       [&](sim::Engine& e, std::mt19937_64& r) {
-         mix_cancel_heavy(e, r, kTransfers);
+       [&](sim::Simulation& s, std::mt19937_64& r) {
+         mix_cancel_heavy(s.engine(), r, kTransfers);
        }},
       {"open_loop",
-       [&](sim::Engine& e, std::mt19937_64& r) {
-         mix_open_loop(e, r, kTransfers);
+       [&](sim::Simulation& s, std::mt19937_64& r) {
+         mix_open_loop(s.engine(), r, kTransfers);
+       }},
+      {"app_pingpong",
+       [&](sim::Simulation& s, std::mt19937_64& r) {
+         mix_app_pingpong(s, r, kTransfers);
        }},
   };
 

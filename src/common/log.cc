@@ -1,22 +1,13 @@
 #include "common/log.h"
 
-// The logger is host-side infrastructure below the simulator; it must stay
-// safe when the sim's process threads interleave, and it never touches
-// simulated state, so OS synchronisation is correct here rather than a
-// determinism hazard.
-// svlint:allow(SV011): host-side logger, not simulated state.
-#include <atomic>
 #include <cstdio>
-// svlint:allow(SV011): see above — host-side logger, not simulated state.
-#include <mutex>
 
 namespace sv {
 namespace {
 
-// svlint:allow(SV011): process-global log level, read from any thread.
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-// svlint:allow(SV011): serialises stderr lines across process threads.
-std::mutex g_io_mutex;
+// Every simulated process runs on the scheduler's OS thread, so the logger
+// needs no locking; one fprintf per line keeps each line whole.
+LogLevel g_level = LogLevel::kWarn;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -31,14 +22,12 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
+void set_log_level(LogLevel level) { g_level = level; }
 
-LogLevel log_level() { return g_level.load(); }
+LogLevel log_level() { return g_level; }
 
 void log_line(LogLevel level, const std::string& tag, const std::string& msg) {
-  if (level < g_level.load()) return;
-  // svlint:allow(SV011): host-side I/O lock; no simulated state involved.
-  std::lock_guard<std::mutex> lock(g_io_mutex);
+  if (level < g_level) return;
   std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), tag.c_str(),
                msg.c_str());
 }

@@ -13,8 +13,7 @@ enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4 }
 void set_log_level(LogLevel level);
 [[nodiscard]] LogLevel log_level();
 
-/// Emits one formatted line to stderr (thread-safe; the simulator is
-/// effectively single-threaded but tests may log from gtest threads).
+/// Emits one formatted line to stderr.
 void log_line(LogLevel level, const std::string& tag, const std::string& msg);
 
 namespace detail {

@@ -30,7 +30,8 @@ class Simulation {
   /// reference heap, so this only matters for differential tests/benches.
   explicit Simulation(QueueKind queue_kind = QueueKind::kTimingWheel);
   /// Destroys the simulation; any still-blocked processes are unwound via
-  /// ProcessKilled so their threads join cleanly.
+  /// ProcessKilled, so every frame on their stacks is destroyed before the
+  /// stacks are released.
   ~Simulation();
 
   Simulation(const Simulation&) = delete;

@@ -57,7 +57,7 @@ TEST(EventArenaTest, DoubleReleaseIsCaughtInDebug) {
   EventArena arena(nullptr);
   EventSlot* s = arena.acquire();
   arena.release(s);
-  EXPECT_THROW(arena.release(s), common::CheckFailure);
+  EXPECT_THROW(arena.release(s), CheckFailure);
 #else
   GTEST_SKIP() << "SV_DCHECK compiled out";
 #endif

@@ -2,13 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <csignal>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "common/check.h"
 
 namespace sv::sim {
 namespace {
 
 using namespace sv::literals;
+
+// Recurses `depth` frames of at least 1 KiB each. Every frame's byte feeds
+// the result, so the compiler can neither drop the frames nor turn the
+// recursion into a loop.
+[[gnu::noinline]] std::uint64_t burn_stack(std::uint64_t depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return 0;
+  return burn_stack(depth - 1) + static_cast<unsigned char>(frame[0]);
+}
 
 TEST(ProcessTest, DelayAdvancesSimulatedTime) {
   Simulation s;
@@ -135,8 +152,8 @@ TEST(ProcessTest, ExceptionInProcessPropagatesToRun) {
 }
 
 TEST(ProcessTest, DestructionUnwindsBlockedProcesses) {
-  // A simulation destroyed while processes are blocked must join all
-  // threads without hanging (ProcessKilled unwind).
+  // A simulation destroyed while processes are blocked must unwind every
+  // one of them without hanging (ProcessKilled unwind).
   bool cleanup_ran = false;
   {
     Simulation s;
@@ -151,6 +168,83 @@ TEST(ProcessTest, DestructionUnwindsBlockedProcesses) {
     EXPECT_EQ(s.live_process_count(), 1u);
   }
   EXPECT_TRUE(cleanup_ran);
+}
+
+TEST(ProcessTest, TeardownUnwindsTenThousandBlockedProcesses) {
+  // Every body holds an RAII guard and a heap allocation while blocked
+  // forever; ~Simulation must destroy each guard exactly once, and the
+  // leak checker (ASan builds) sees any allocation the unwind skipped.
+  constexpr int kProcs = 10'000;
+  std::vector<int> destroyed(kProcs, 0);
+  {
+    Simulation s;
+    for (int i = 0; i < kProcs; ++i) {
+      s.spawn("stuck" + std::to_string(i), [&s, &destroyed, i] {
+        struct Guard {
+          int* count;
+          ~Guard() { ++*count; }
+        } g{&destroyed[static_cast<std::size_t>(i)]};
+        const auto held = std::make_unique<std::string>(64, 'x');
+        s.block_current("forever");
+      });
+    }
+    s.run();
+    EXPECT_EQ(s.live_process_count(), static_cast<std::size_t>(kProcs));
+    EXPECT_EQ(std::count(destroyed.begin(), destroyed.end(), 0), kProcs);
+  }
+  EXPECT_EQ(std::count(destroyed.begin(), destroyed.end(), 1), kProcs);
+}
+
+TEST(ProcessTest, DeepRecursionWithinTheStackBudgetRuns) {
+  Simulation s;
+  std::uint64_t sum = 0;
+  s.spawn("deep", [&] {
+    // Half the stack in 1 KiB frames, then an ordinary block and resume.
+    sum = burn_stack(Process::kStackBytes / 2 / 1024);
+    s.delay(1_us);
+  });
+  s.run();
+  EXPECT_GT(sum, 0u);
+}
+
+// Overflows one process's stack by half its size again, in 1 KiB frames.
+// The neighbour's stack is mapped next, which mmap usually places right
+// below the deep process's guard page: without the guard the overflow
+// would land in the neighbour's stack and go unnoticed.
+void overflow_a_process_stack() {
+  Simulation s;
+  s.spawn("deep",
+          [] { (void)burn_stack(3 * Process::kStackBytes / 2 / 1024); });
+  s.spawn("neighbour", [&] { s.block_current("forever"); });
+  s.run();
+}
+
+TEST(ProcessDeathTest, StackOverflowDiesOnTheGuardPage) {
+  // The write past the stack's low end must fault on the guard page rather
+  // than land in the neighbour's frames.
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_DEATH(overflow_a_process_stack(), "stack-overflow");
+#else
+  EXPECT_EXIT(overflow_a_process_stack(), testing::KilledBySignal(SIGSEGV),
+              "");
+#endif
+}
+
+TEST(ProcessTest, BlockingInsideACatchHandlerIsCaughtInDebug) {
+#if !defined(NDEBUG) || defined(SV_ENABLE_DCHECKS)
+  // Caught-exception state is per OS thread, which every process shares.
+  Simulation s;
+  s.spawn("catcher", [&] {
+    try {
+      throw std::runtime_error("handled");
+    } catch (const std::runtime_error&) {
+      s.delay(1_us);
+    }
+  });
+  EXPECT_THROW(s.run(), CheckFailure);
+#else
+  GTEST_SKIP() << "SV_DCHECK compiled out";
+#endif
 }
 
 TEST(ProcessTest, DestructionUnwindsNeverStartedProcesses) {

@@ -1,6 +1,6 @@
-// SV011 fixture: raw OS concurrency outside the src/sim scheduler. Both
-// the includes and the std:: uses must be flagged; non-concurrency std
-// types and non-std identifiers must not.
+// SV011 fixture: raw OS concurrency in src/net. Both the includes and the
+// std:: uses must be flagged; non-concurrency std types and non-std
+// identifiers must not.
 #include <thread>
 #include <mutex>
 #include <vector>

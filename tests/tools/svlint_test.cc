@@ -247,9 +247,16 @@ TEST(SvlintRules, Sv011CatchesRawConcurrencyOutsideSim) {
   EXPECT_EQ(fs.back().line, 15);
 }
 
-TEST(SvlintRules, Sv011ExemptsTheSimScheduler) {
-  EXPECT_TRUE(scan_fixture("src/sim/thread_ok.cc").empty())
-      << "src/sim implements the sanctioned scheduler";
+TEST(SvlintRules, Sv011CoversTheSimScheduler) {
+  // Processes are fibers on the scheduler's thread: src/sim is in scope too.
+  const auto fs = scan_fixture("src/sim/thread_use.cc");
+  EXPECT_TRUE(has(fs, "SV011", 3)) << "#include <thread>";
+  EXPECT_TRUE(has(fs, "SV011", 4)) << "#include <mutex>";
+  EXPECT_TRUE(has(fs, "SV011", 7)) << "std::thread";
+  EXPECT_TRUE(has(fs, "SV011", 8)) << "std::mutex";
+  EXPECT_TRUE(has(fs, "SV011", 9)) << "std::lock_guard + std::mutex";
+  EXPECT_EQ(fs.size(), 6u);
+  EXPECT_TRUE(scan_source("src/sim/x.cc", "#include <vector>\n").empty());
 }
 
 TEST(SvlintRules, Sv012ChecksMetricFamiliesAgainstManifest) {

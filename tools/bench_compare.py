@@ -6,7 +6,8 @@ Dispatches on the file's "bench" field:
 sim_engine — CI's bench-smoke job runs `sim_engine --quick` and feeds the
 result here. The gate fails when any mix's timing-wheel events/sec falls
 below `--min-ratio` (default 0.8, i.e. a >20% regression) of the committed
-baseline for that mix. Because absolute rates depend on the host, the gate
+baseline for that mix; the app_pingpong mix holds the process hand-off
+cost to the same gate. Because absolute rates depend on the host, the gate
 also checks a machine-independent invariant: the wheel must not fall behind
 the reference heap run in the *same* fresh measurement on the mixes the
 design promises to win (bursty, cancel_heavy, open_loop).

@@ -60,8 +60,8 @@ const std::vector<RuleInfo> kRules = {
      "reason"},
     {"SV011",
      "raw OS concurrency (std::thread/mutex/atomic/condition_variable or "
-     "their headers) outside src/sim: simulated processes must go through "
-     "the sim scheduler or determinism dies with the thread interleaving"},
+     "their headers) in src/: simulated processes must go through the sim "
+     "scheduler or determinism dies with the thread interleaving"},
     {"SV012",
      "metric name passed to the obs registry whose family is not declared "
      "in src/obs/metrics_manifest.txt: typo'd or orphaned counters corrupt "
@@ -138,9 +138,8 @@ bool result_rule_applies(const std::string& rel_path) {
 }
 
 bool thread_rule_applies(const std::string& rel_path) {
-  // src/sim implements the sanctioned thread-per-process scheduler; it is
-  // the only place OS concurrency may appear.
-  if (starts_with(rel_path, "src/sim/")) return false;
+  // Simulated processes are fibers on the scheduler's thread, so no code in
+  // src/, the scheduler included, needs OS concurrency.
   return starts_with(rel_path, "src/");
 }
 
@@ -678,7 +677,7 @@ void check_sv010(const std::string& rel_path, const Tokens& t,
 }
 
 // ---------------------------------------------------------------------------
-// SV011: raw OS concurrency outside the sim scheduler
+// SV011: raw OS concurrency anywhere in src/
 // ---------------------------------------------------------------------------
 
 constexpr const char* kThreadHeaders[] = {
@@ -702,7 +701,7 @@ void check_sv011(const std::string& rel_path, const LexedFile& lx,
       if (inc.path == h) {
         add(out, rel_path, inc.line, "SV011",
             "#include <" + inc.path +
-                "> outside src/sim: simulated code must synchronise through "
+                "> in src/: simulated code must synchronise through "
                 "the sim scheduler, not OS threads");
       }
     }
@@ -720,7 +719,7 @@ void check_sv011(const std::string& rel_path, const LexedFile& lx,
     if (hit) {
       add(out, rel_path, t[i].line, "SV011",
           "raw std::" + name +
-              " outside src/sim: determinism requires all concurrency to go "
+              " in src/: determinism requires all concurrency to go "
               "through the sim scheduler");
     }
   }
