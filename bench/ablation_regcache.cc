@@ -15,18 +15,17 @@
 //   regcache         wins high-locality reuse (hits skip the pin), but
 //                    thrashes when capacity < working set
 //
-// Results go to stdout and BENCH_regcache.json. CI's mem job runs
-// `--quick` and gates it with tools/bench_compare.py: deterministic
-// fields (send-loop time, ledger counters, winners) exact-match; hit-rate
-// and events/sec ratio-gated.
-#include <chrono>
+// Results go to stdout and BENCH_regcache.json (bench_record.h format, one
+// record per cell). CI's mem job runs `--quick` and gates it with
+// tools/bench_compare.py: deterministic fields (send-loop time, ledger
+// counters, the cell's winner) exact-match, events/sec ratio-gated; the
+// hit rate is context.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_record.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -124,13 +123,7 @@ PolicyResult run_policy(mem::CopyPolicyKind kind, const Cell& cell,
     send_loop = s.now() - t0;
     a->close_send();
   });
-  // Wall time IS the simulator-throughput measurement, not simulated
-  // state. svlint:allow(SV004)
-  const auto w0 = std::chrono::steady_clock::now();
-  s.run();
-  // svlint:allow(SV004) — see above.
-  const auto w1 = std::chrono::steady_clock::now();
-  r.wall_seconds = std::chrono::duration<double>(w1 - w0).count();
+  r.wall_seconds = bench::wall_seconds([&] { s.run(); });
 
   const auto& reg = s.obs().registry;
   r.send_loop_ns = static_cast<std::uint64_t>(send_loop.ns());
@@ -147,58 +140,31 @@ PolicyResult run_policy(mem::CopyPolicyKind kind, const Cell& cell,
   return r;
 }
 
-void emit_json(const std::vector<Cell>& cells, bool quick,
-               const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"regcache\",\n  \"quick\": "
-      << (quick ? "true" : "false") << ",\n  \"working_set\": " << kWorkingSet
-      << ",\n  \"cells\": [\n";
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const Cell& cell = cells[c];
-    char head[256];
-    std::snprintf(head, sizeof(head),
-                  "    {\"name\": \"%s\", \"msg_bytes\": %llu, "
-                  "\"locality_pct\": %d, \"reg_cost_scale_pct\": %d, "
-                  "\"capacity\": %llu, \"winner\": \"%s\",\n"
-                  "     \"policies\": [\n",
-                  cell.name().c_str(),
-                  static_cast<unsigned long long>(cell.msg_bytes),
-                  cell.locality_pct, cell.reg_cost_scale_pct,
-                  static_cast<unsigned long long>(cell.capacity),
-                  std::string(mem::copy_policy_name(cell.winner)).c_str());
-    out << head;
-    for (std::size_t p = 0; p < cell.policies.size(); ++p) {
-      const PolicyResult& r = cell.policies[p];
-      char buf[640];
-      std::snprintf(
-          buf, sizeof(buf),
-          "      {\"policy\": \"%s\", \"send_loop_ns\": %llu, "
-          "\"delivered\": %llu,\n"
-          "       \"copies\": %llu, \"copy_bytes\": %llu, "
-          "\"registrations\": %llu, \"deregistrations\": %llu,\n"
-          "       \"regcache_hits\": %llu, \"regcache_misses\": %llu, "
-          "\"regcache_evictions\": %llu, \"hit_rate\": %.4f,\n"
-          "       \"events_fired\": %llu, \"events_per_sec\": %.0f, "
-          "\"trace_digest\": %llu}%s\n",
-          std::string(mem::copy_policy_name(r.kind)).c_str(),
-          static_cast<unsigned long long>(r.send_loop_ns),
-          static_cast<unsigned long long>(r.delivered),
-          static_cast<unsigned long long>(r.copies),
-          static_cast<unsigned long long>(r.copy_bytes),
-          static_cast<unsigned long long>(r.registrations),
-          static_cast<unsigned long long>(r.deregistrations),
-          static_cast<unsigned long long>(r.hits),
-          static_cast<unsigned long long>(r.misses),
-          static_cast<unsigned long long>(r.evictions), r.hit_rate(),
-          static_cast<unsigned long long>(r.events_fired),
-          r.events_per_sec(),
-          static_cast<unsigned long long>(r.trace_digest),
-          p + 1 < cell.policies.size() ? "," : "");
-      out << buf;
-    }
-    out << "     ]}" << (c + 1 < cells.size() ? "," : "") << "\n";
+bench::Record cell_record(const Cell& cell) {
+  bench::Record rec(cell.name());
+  rec.exact("winner", mem::copy_policy_name(cell.winner))
+      .info("msg_bytes", cell.msg_bytes)
+      .info("locality_pct", cell.locality_pct)
+      .info("reg_cost_scale_pct", cell.reg_cost_scale_pct)
+      .info("capacity", cell.capacity)
+      .info("working_set", kWorkingSet);
+  for (const PolicyResult& r : cell.policies) {
+    const std::string p(mem::copy_policy_name(r.kind));
+    rec.exact(p + ".send_loop_ns", r.send_loop_ns)
+        .exact(p + ".delivered", r.delivered)
+        .exact(p + ".copies", r.copies)
+        .exact(p + ".copy_bytes", r.copy_bytes)
+        .exact(p + ".registrations", r.registrations)
+        .exact(p + ".deregistrations", r.deregistrations)
+        .exact(p + ".regcache_hits", r.hits)
+        .exact(p + ".regcache_misses", r.misses)
+        .exact(p + ".regcache_evictions", r.evictions)
+        .exact(p + ".events_fired", r.events_fired)
+        .exact(p + ".trace_digest", r.trace_digest)
+        .ratio(p + ".events_per_sec", r.events_per_sec())
+        .info(p + ".hit_rate", r.hit_rate(), 4);
   }
-  out << "  ]\n}\n";
+  return rec;
 }
 
 }  // namespace
@@ -232,7 +198,7 @@ int main(int argc, char** argv) {
                                        mem::CopyPolicyKind::kRegisterOnFly,
                                        mem::CopyPolicyKind::kRegCache};
 
-  std::vector<Cell> cells;
+  std::vector<bench::Record> records;
   for (const std::uint64_t sz : sizes) {
     for (const int loc : localities) {
       for (const int scale : reg_scales) {
@@ -260,13 +226,12 @@ int main(int argc, char** argv) {
           }
           std::printf(" winner %s\n",
                       std::string(mem::copy_policy_name(cell.winner)).c_str());
-          cells.push_back(std::move(cell));
+          records.push_back(cell_record(cell));
         }
       }
     }
   }
 
-  emit_json(cells, quick, json_path);
-  std::cout << "wrote " << json_path << "\n";
+  bench::write_json(json_path, "regcache", quick, records);
   return 0;
 }

@@ -154,7 +154,8 @@ void BM_PayloadSealSlice(benchmark::State& state) {
       off += take;
     }
   }
-  state.SetItemsProcessed(state.iterations() * (kBytes / kMss + 1));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBytes / kMss + 1));
 }
 BENCHMARK(BM_PayloadSealSlice);
 

@@ -13,19 +13,17 @@
 //                    host-independent, reproducible from (config, seed))
 //   trace_digest     determinism evidence for the exact executed schedule
 //
-// Results go to stdout and BENCH_scale_sweep.json at the repo root. CI's
-// scale-smoke job runs `--quick` (the 64-node subset) and gates it with
-// tools/bench_compare.py: events/sec against the committed baseline, plus
-// machine-independent invariants (p99 >= p50, oversubscription inflating
-// the tail).
-#include <chrono>
+// Results go to stdout and BENCH_scale_sweep.json at the repo root
+// (bench_record.h format). CI's scale-smoke job runs `--quick` (the
+// 64-node subset) and gates it with tools/bench_compare.py: model outputs
+// exact, events/sec against the committed baseline, plus the
+// machine-independent check p99 >= p50.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_record.h"
 #include "common/cli.h"
 #include "common/units.h"
 #include "harness/openloop.h"
@@ -77,48 +75,32 @@ SweepPoint run_point(int nodes, int oversub, net::Transport tr) {
   p.nodes = nodes;
   p.oversubscription = oversub;
   p.transport = tr;
-  // Wall time IS the simulator-throughput measurement here, not simulated
-  // state. svlint:allow(SV004)
-  const auto t0 = std::chrono::steady_clock::now();
-  p.result = harness::run_open_loop(cfg);
-  // svlint:allow(SV004) — see above.
-  const auto t1 = std::chrono::steady_clock::now();
-  p.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  p.wall_seconds =
+      bench::wall_seconds([&] { p.result = harness::run_open_loop(cfg); });
   return p;
 }
 
-void emit_json(const std::vector<SweepPoint>& points, bool quick,
-               const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"scale_sweep\",\n  \"quick\": "
-      << (quick ? "true" : "false") << ",\n  \"points\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s_x%d_%s\", \"topology\": \"%s\", "
-        "\"nodes\": %d, \"oversubscription\": %d, \"transport\": \"%s\",\n"
-        "     \"offered\": %llu, \"delivered\": %llu, \"drops\": %llu,\n"
-        "     \"p50_update_ns\": %.0f, \"p99_update_ns\": %.0f,\n"
-        "     \"events_fired\": %llu, \"events_per_sec\": %.0f, "
-        "\"wall_seconds\": %.4f,\n"
-        "     \"trace_digest\": %llu}%s\n",
-        p.topology.c_str(), p.oversubscription,
-        net::transport_name(p.transport), p.topology.c_str(), p.nodes,
-        p.oversubscription, net::transport_name(p.transport),
-        static_cast<unsigned long long>(p.result.offered),
-        static_cast<unsigned long long>(p.result.delivered),
-        static_cast<unsigned long long>(p.result.drops),
-        p.result.update_latency.percentile(50.0),
-        p.result.update_latency.percentile(99.0),
-        static_cast<unsigned long long>(p.result.events_fired),
-        p.events_per_sec(), p.wall_seconds,
-        static_cast<unsigned long long>(p.result.trace_digest),
-        i + 1 < points.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+bench::Record point_record(const SweepPoint& p) {
+  const harness::OpenLoopResult& r = p.result;
+  const double p50 = r.update_latency.percentile(50.0);
+  const double p99 = r.update_latency.percentile(99.0);
+  bench::Record rec(p.topology + "_x" + std::to_string(p.oversubscription) +
+                    "_" + net::transport_name(p.transport));
+  rec.exact("offered", r.offered)
+      .exact("delivered", r.delivered)
+      .exact("drops", r.drops)
+      .exact("p50_update_ns", p50)
+      .exact("p99_update_ns", p99)
+      .exact("events_fired", r.events_fired)
+      .exact("trace_digest", r.trace_digest)
+      .ratio("events_per_sec", p.events_per_sec())
+      .info("topology", p.topology)
+      .info("nodes", p.nodes)
+      .info("oversubscription", p.oversubscription)
+      .info("transport", net::transport_name(p.transport))
+      .info("wall_seconds", p.wall_seconds, 4)
+      .check("p99_ge_p50", p99 >= p50);
+  return rec;
 }
 
 }  // namespace
@@ -143,7 +125,7 @@ int main(int argc, char** argv) {
   const std::vector<net::Transport> transports = {
       net::Transport::kSocketVia, net::Transport::kKernelTcp};
 
-  std::vector<SweepPoint> points;
+  std::vector<bench::Record> records;
   for (const int nodes : node_counts) {
     for (const int r : ratios) {
       for (const net::Transport tr : transports) {
@@ -158,12 +140,11 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(p.result.drops),
             p.result.update_latency.percentile(50.0),
             p.result.update_latency.percentile(99.0), p.events_per_sec());
-        points.push_back(std::move(p));
+        records.push_back(point_record(p));
       }
     }
   }
 
-  emit_json(points, quick, json_path);
-  std::cout << "wrote " << json_path << "\n";
+  bench::write_json(json_path, "scale_sweep", quick, records);
   return 0;
 }

@@ -22,21 +22,21 @@
 // Each mix runs on both QueueKind implementations with identical seeds; the
 // trace digests must agree (a benchmark that drifts from the contract is
 // measuring the wrong thing). Results go to stdout and to
-// BENCH_sim_engine.json at the repo root: events per wall-second and
-// simulated seconds per wall-second, plus the wheel:heap speedup per mix.
-// CI's bench-smoke job compares a fresh --quick run against the committed
-// JSON and fails on >20% events/sec regression (tools/bench_compare.py).
-#include <chrono>
+// BENCH_sim_engine.json at the repo root (bench_record.h format): one
+// required record per mix, its ratio field the wheel's events per
+// wall-second, plus the wheel-beats-heap check on the mixes the wheel is
+// designed to win. CI's bench-smoke job compares a fresh --quick run
+// against the committed JSON and fails on >20% events/sec regression
+// (tools/bench_compare.py).
 #include <cstdint>
 #include <cstdio>
 #include <deque>
-#include <fstream>
 #include <functional>
-#include <iostream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "bench_record.h"
 #include "common/check.h"
 #include "common/cli.h"
 #include "common/units.h"
@@ -71,17 +71,11 @@ template <typename Mix>
 MixMeasurement run_mix(QueueKind kind, std::uint64_t seed, const Mix& mix) {
   sim::Simulation s(kind);
   std::mt19937_64 rng(seed);
-  // This binary measures host throughput, so wall time IS the measurement,
-  // not simulated state. svlint:allow(SV004)
-  const auto t0 = std::chrono::steady_clock::now();
-  mix(s, rng);
-  // svlint:allow(SV004) — see above.
-  const auto t1 = std::chrono::steady_clock::now();
-  const Engine& e = s.engine();
   MixMeasurement m;
+  m.wall_seconds = bench::wall_seconds([&] { mix(s, rng); });
+  const Engine& e = s.engine();
   m.events_fired = e.events_fired();
   m.trace_digest = e.trace_digest();
-  m.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   m.sim_seconds = e.now().sec();
   return m;
 }
@@ -226,35 +220,29 @@ struct MixResult {
   }
 };
 
-void emit_json(const std::vector<MixResult>& results, bool quick,
-               const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"sim_engine\",\n  \"quick\": "
-      << (quick ? "true" : "false") << ",\n  \"mixes\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const MixResult& r = results[i];
-    auto side = [&](const char* key, const MixMeasurement& m,
-                    const char* trail) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "      \"%s\": {\"events_fired\": %llu, "
-                    "\"events_per_sec\": %.0f, "
-                    "\"sim_seconds_per_wall_second\": %.2f, "
-                    "\"wall_seconds\": %.4f}%s\n",
-                    key, static_cast<unsigned long long>(m.events_fired),
-                    m.events_per_sec(), m.sim_per_wall(), m.wall_seconds,
-                    trail);
-      out << buf;
-    };
-    out << "    {\n      \"name\": \"" << r.name << "\",\n";
-    side("timing_wheel", r.wheel, ",");
-    side("reference_heap", r.heap, ",");
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "      \"speedup_events_per_sec\": %.2f\n", r.speedup());
-    out << buf << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
+/// The mix as a bench record: wheel throughput is ratio-gated, everything
+/// else is context. Quick and full runs fire different event counts, so no
+/// field is exact.
+bench::Record mix_record(const MixResult& r) {
+  const MixMeasurement& w = r.wheel;
+  const MixMeasurement& h = r.heap;
+  bench::Record rec(r.name, /*required=*/true);
+  rec.ratio("timing_wheel.events_per_sec", w.events_per_sec())
+      .info("timing_wheel.events_fired", w.events_fired)
+      .info("timing_wheel.sim_seconds_per_wall_second", w.sim_per_wall(), 2)
+      .info("timing_wheel.wall_seconds", w.wall_seconds, 4)
+      .info("reference_heap.events_fired", h.events_fired)
+      .info("reference_heap.events_per_sec", h.events_per_sec())
+      .info("reference_heap.sim_seconds_per_wall_second", h.sim_per_wall(), 2)
+      .info("reference_heap.wall_seconds", h.wall_seconds, 4)
+      .info("speedup_events_per_sec", r.speedup(), 2);
+  // The mixes the wheel redesign targets: it must not fall behind the
+  // reference heap within the same run, whatever the host.
+  if (r.name == "bursty" || r.name == "cancel_heavy" ||
+      r.name == "open_loop") {
+    rec.check("wheel_beats_heap", r.speedup() >= 1.0);
   }
-  out << "  ]\n}\n";
+  return rec;
 }
 
 }  // namespace
@@ -308,7 +296,7 @@ int main(int argc, char** argv) {
        }},
   };
 
-  std::vector<MixResult> results;
+  std::vector<bench::Record> records;
   for (const MixSpec& spec : mixes) {
     MixResult r;
     r.name = spec.name;
@@ -339,10 +327,9 @@ int main(int argc, char** argv) {
         "(%7.1f sim-s/wall-s) | speedup %.2fx\n",
         spec.name, r.wheel.events_per_sec(), r.wheel.sim_per_wall(),
         r.heap.events_per_sec(), r.heap.sim_per_wall(), r.speedup());
-    results.push_back(std::move(r));
+    records.push_back(mix_record(r));
   }
 
-  emit_json(results, quick, json_path);
-  std::cout << "wrote " << json_path << "\n";
+  bench::write_json(json_path, "sim_engine", quick, records);
   return 0;
 }

@@ -23,15 +23,16 @@
 // Every number except wall-clock throughput derives from (config, seed):
 // offered/delivered/throttled counts, latency percentiles, the
 // controller's action count and the trace digest are exact-match fields
-// in BENCH_slo.json, gated by tools/bench_compare.py in CI (slo-smoke).
-#include <chrono>
+// in BENCH_slo.json (bench_record.h format), gated by
+// tools/bench_compare.py in CI (slo-smoke). The contrast itself travels
+// as checks: the controlled run holds the target and acts at least once,
+// the uncontrolled run misses it by at least 2x.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_record.h"
 #include "common/cli.h"
 #include "common/units.h"
 #include "harness/openloop.h"
@@ -136,68 +137,42 @@ SloRun run_one(bool controlled, const harness::SloControlConfig& slo) {
   SloRun r;
   r.name = controlled ? "controlled" : "uncontrolled";
   r.controlled = controlled;
-  // Wall time IS the simulator-throughput measurement here, not simulated
-  // state. svlint:allow(SV004)
-  const auto t0 = std::chrono::steady_clock::now();
-  r.result = harness::run_open_loop(cfg);
-  // svlint:allow(SV004) — see above.
-  const auto t1 = std::chrono::steady_clock::now();
-  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.wall_seconds =
+      bench::wall_seconds([&] { r.result = harness::run_open_loop(cfg); });
   return r;
 }
 
-void emit_json(const std::vector<SloRun>& runs, std::int64_t target_ns,
-               bool quick, const std::string& path) {
-  double controlled_p99 = 0;
-  double uncontrolled_p99 = 0;
-  for (const SloRun& r : runs) {
-    const double p99 = r.result.update_latency.percentile(99.0);
-    (r.controlled ? controlled_p99 : uncontrolled_p99) = p99;
+bench::Record run_record(const SloRun& run, std::int64_t target_ns) {
+  const harness::OpenLoopResult& r = run.result;
+  const double p99 = r.update_latency.percentile(99.0);
+  const double target = static_cast<double>(target_ns);
+  bench::Record rec(run.name, /*required=*/true);
+  rec.exact("controlled", run.controlled)
+      .exact("offered", r.offered)
+      .exact("delivered", r.delivered)
+      .exact("drops", r.drops)
+      .exact("throttled", r.throttled)
+      .exact("p50_update_ns", r.update_latency.percentile(50.0))
+      .exact("p99_update_ns", p99)
+      .exact("slo_actions", r.slo_actions)
+      .exact("demotions", r.slo_demotions)
+      .exact("promotions", r.slo_promotions)
+      .exact("final_admit_permille", r.final_admit_permille)
+      .exact("final_chunk_bytes", r.final_chunk_bytes)
+      .exact("events_fired", r.events_fired)
+      .exact("trace_digest", r.trace_digest)
+      .ratio("events_per_sec", run.events_per_sec())
+      .info("target_p99_ns", target_ns)
+      .info("wall_seconds", run.wall_seconds, 4);
+  // The guarantee the bench exists to show: under the same faults the
+  // controller holds the SLO, and without it the fault plan breaks it.
+  if (run.controlled) {
+    rec.check("slo_held", p99 <= target)
+        .check("controller_acted", r.slo_actions >= 1);
+  } else {
+    rec.check("uncontrolled_p99_ge_2x_target", p99 >= 2 * target);
   }
-  const bool held = controlled_p99 <= static_cast<double>(target_ns);
-
-  std::ofstream out(path);
-  char buf[768];
-  std::snprintf(buf, sizeof(buf),
-                "{\n  \"bench\": \"slo\",\n  \"quick\": %s,\n"
-                "  \"target_p99_ns\": %lld,\n  \"held\": %s,\n"
-                "  \"runs\": [\n",
-                quick ? "true" : "false",
-                static_cast<long long>(target_ns), held ? "true" : "false");
-  out << buf;
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const SloRun& r = runs[i];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"controlled\": %s,\n"
-        "     \"offered\": %llu, \"delivered\": %llu, \"drops\": %llu, "
-        "\"throttled\": %llu,\n"
-        "     \"p50_update_ns\": %.0f, \"p99_update_ns\": %.0f,\n"
-        "     \"slo_actions\": %llu, \"demotions\": %llu, "
-        "\"promotions\": %llu,\n"
-        "     \"final_admit_permille\": %u, \"final_chunk_bytes\": %llu,\n"
-        "     \"events_fired\": %llu, \"events_per_sec\": %.0f, "
-        "\"wall_seconds\": %.4f,\n"
-        "     \"trace_digest\": %llu}%s\n",
-        r.name.c_str(), r.controlled ? "true" : "false",
-        static_cast<unsigned long long>(r.result.offered),
-        static_cast<unsigned long long>(r.result.delivered),
-        static_cast<unsigned long long>(r.result.drops),
-        static_cast<unsigned long long>(r.result.throttled),
-        r.result.update_latency.percentile(50.0),
-        r.result.update_latency.percentile(99.0),
-        static_cast<unsigned long long>(r.result.slo_actions),
-        static_cast<unsigned long long>(r.result.slo_demotions),
-        static_cast<unsigned long long>(r.result.slo_promotions),
-        r.result.final_admit_permille,
-        static_cast<unsigned long long>(r.result.final_chunk_bytes),
-        static_cast<unsigned long long>(r.result.events_fired),
-        r.events_per_sec(), r.wall_seconds,
-        static_cast<unsigned long long>(r.result.trace_digest),
-        i + 1 < runs.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+  return rec;
 }
 
 }  // namespace
@@ -260,7 +235,8 @@ int main(int argc, char** argv) {
                     r.result.update_latency.count()));
   }
 
-  emit_json(runs, target_ns, quick, json_path);
-  std::cout << "wrote " << json_path << "\n";
+  std::vector<bench::Record> records;
+  for (const SloRun& r : runs) records.push_back(run_record(r, target_ns));
+  bench::write_json(json_path, "slo", quick, records);
   return 0;
 }

@@ -13,11 +13,7 @@ void add_obs_flags(CliParser& cli, ObsArtifacts* out) {
 }
 
 void begin_obs(sim::Simulation& sim, const ObsArtifacts& artifacts) {
-  obs::begin_artifacts(sim.obs(), artifacts);
-  if (artifacts.want_live_metrics() && !sim.metrics_pump_active()) {
-    sim.publish_metrics_every(
-        SimTime::milliseconds(artifacts.metrics_every_ms));
-  }
+  sim.begin_artifacts(artifacts);
 }
 
 void export_obs(sim::Simulation& sim, const ObsArtifacts& artifacts) {

@@ -27,7 +27,7 @@ void add_obs_flags(CliParser& cli, ObsArtifacts* out);
 /// starts the sim-time snapshot pump when `--metrics-every` asked for live
 /// mid-run snapshots (numbered `<metrics-out>.NNNN` files; byte-identical
 /// across same-seed replays). Call after constructing the Simulation,
-/// before traffic starts.
+/// before traffic starts. Same as sim::Simulation::begin_artifacts.
 void begin_obs(sim::Simulation& sim, const ObsArtifacts& artifacts);
 
 /// Writes the requested artifacts from `sim`'s hub; throws std::runtime_error

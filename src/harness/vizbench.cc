@@ -1,5 +1,9 @@
 #include "harness/vizbench.h"
 
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "common/rng.h"
 #include "vizapp/server.h"
 
@@ -16,11 +20,43 @@ viz::VizConfig make_app_config(const VizWorkloadConfig& cfg) {
   return app;
 }
 
-// No-op for the default (empty) plan, so fault-free configs keep their
-// historical digests.
-void install_faults(net::Cluster& cluster, const VizWorkloadConfig& cfg) {
-  cluster.install_faults(cfg.faults, cfg.seed);
-}
+/// The setup every viz run shares, in the order the digest pins assume:
+/// Simulation, Cluster with the fault plan, artifacts, SocketFactory with
+/// the copy policy, then `apps` VizApps, all constructed before any starts.
+class VizRun {
+ public:
+  VizRun(const VizWorkloadConfig& cfg, int apps)
+      : cfg_(cfg), sim_(cfg.queue_kind), cluster_(&sim_, cfg.cluster_nodes) {
+    // No-op for the default (empty) plan, so fault-free configs keep their
+    // historical digests.
+    cluster_.install_faults(cfg.faults, cfg.seed);
+    begin_obs(sim_, cfg.obs);
+    factory_.emplace(&sim_, &cluster_);
+    factory_->set_copy_policy(cfg.copy_policy);
+    for (int i = 0; i < apps; ++i) {
+      apps_.push_back(std::make_unique<viz::VizApp>(
+          &sim_, &cluster_, &*factory_, make_app_config(cfg)));
+    }
+    for (const auto& app : apps_) app->start();
+  }
+
+  sim::Simulation& sim() { return sim_; }
+  viz::VizApp& app(std::size_t i = 0) { return *apps_[i]; }
+
+  /// Runs until the event queue drains, then writes the requested
+  /// artifacts.
+  void run() {
+    sim_.run();
+    export_obs(sim_, cfg_.obs);
+  }
+
+ private:
+  const VizWorkloadConfig& cfg_;
+  sim::Simulation sim_;
+  net::Cluster cluster_;
+  std::optional<sockets::SocketFactory> factory_;
+  std::vector<std::unique_ptr<viz::VizApp>> apps_;
+};
 
 }  // namespace
 
@@ -29,16 +65,10 @@ PacedResult run_paced_updates(const VizWorkloadConfig& cfg, double target_ups,
   PacedResult result;
   result.target_ups = target_ups;
 
-  sim::Simulation s(cfg.queue_kind);
-  net::Cluster cluster(&s, cfg.cluster_nodes);
-  install_faults(cluster, cfg);
-  begin_obs(s, cfg.obs);
-  sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
-  viz::VizApp update_app(&s, &cluster, &factory, make_app_config(cfg));
-  viz::VizApp probe_app(&s, &cluster, &factory, make_app_config(cfg));
-  update_app.start();
-  probe_app.start();
+  VizRun viz_run(cfg, /*apps=*/2);
+  sim::Simulation& s = viz_run.sim();
+  viz::VizApp& update_app = viz_run.app(0);
+  viz::VizApp& probe_app = viz_run.app(1);
 
   const auto interval =
       SimTime::nanoseconds(static_cast<std::int64_t>(1e9 / target_ups));
@@ -80,8 +110,7 @@ PacedResult run_paced_updates(const VizWorkloadConfig& cfg, double target_ups,
       s.delay(interval / 4);
     }
   });
-  s.run();
-  export_obs(s, cfg.obs);
+  viz_run.run();
   result.events_fired = s.events_fired();
   result.trace_digest = s.engine().trace_digest();
   result.end_time = s.now();
@@ -108,14 +137,9 @@ SaturationResult run_saturation(const VizWorkloadConfig& cfg, int updates,
   idle_cfg.obs = ObsArtifacts{};
   result.uncontended_partial_latency = measure_idle_partial_latency(idle_cfg);
 
-  sim::Simulation s(cfg.queue_kind);
-  net::Cluster cluster(&s, cfg.cluster_nodes);
-  install_faults(cluster, cfg);
-  begin_obs(s, cfg.obs);
-  sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
-  viz::VizApp app(&s, &cluster, &factory, make_app_config(cfg));
-  app.start();
+  VizRun viz_run(cfg, /*apps=*/1);
+  sim::Simulation& s = viz_run.sim();
+  viz::VizApp& app = viz_run.app();
 
   std::vector<SimTime> completions;
   s.spawn("client", [&] {
@@ -134,8 +158,7 @@ SaturationResult run_saturation(const VizWorkloadConfig& cfg, int updates,
     }
     app.close();
   });
-  s.run();
-  export_obs(s, cfg.obs);
+  viz_run.run();
 
   if (static_cast<int>(completions.size()) > warmup + 1) {
     const auto span = completions.back() -
@@ -152,14 +175,9 @@ SaturationResult run_saturation(const VizWorkloadConfig& cfg, int updates,
 Samples run_query_mix(const VizWorkloadConfig& cfg, double complete_fraction,
                       int queries) {
   Samples responses;
-  sim::Simulation s(cfg.queue_kind);
-  net::Cluster cluster(&s, cfg.cluster_nodes);
-  install_faults(cluster, cfg);
-  begin_obs(s, cfg.obs);
-  sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
-  viz::VizApp app(&s, &cluster, &factory, make_app_config(cfg));
-  app.start();
+  VizRun viz_run(cfg, /*apps=*/1);
+  sim::Simulation& s = viz_run.sim();
+  viz::VizApp& app = viz_run.app();
 
   s.spawn("client", [&] {
     Rng rng(cfg.seed);
@@ -177,20 +195,14 @@ Samples run_query_mix(const VizWorkloadConfig& cfg, double complete_fraction,
     }
     app.close();
   });
-  s.run();
-  export_obs(s, cfg.obs);
+  viz_run.run();
   return responses;
 }
 
 SimTime measure_idle_partial_latency(const VizWorkloadConfig& cfg) {
-  sim::Simulation s(cfg.queue_kind);
-  net::Cluster cluster(&s, cfg.cluster_nodes);
-  install_faults(cluster, cfg);
-  begin_obs(s, cfg.obs);
-  sockets::SocketFactory factory(&s, &cluster);
-  factory.set_copy_policy(cfg.copy_policy);
-  viz::VizApp app(&s, &cluster, &factory, make_app_config(cfg));
-  app.start();
+  VizRun viz_run(cfg, /*apps=*/1);
+  sim::Simulation& s = viz_run.sim();
+  viz::VizApp& app = viz_run.app();
   SimTime latency;
   s.spawn("client", [&] {
     const SimTime t0 = s.now();
@@ -199,8 +211,7 @@ SimTime measure_idle_partial_latency(const VizWorkloadConfig& cfg) {
     latency = s.now() - t0;
     app.close();
   });
-  s.run();
-  export_obs(s, cfg.obs);
+  viz_run.run();
   return latency;
 }
 

@@ -6,6 +6,16 @@
 #include "sim/resource.h"
 
 namespace sv::net {
+namespace {
+
+/// Row-major slot `row * width + col` of a flat link table. Every index
+/// is a non-negative switch/port number, so the int product converts
+/// losslessly.
+std::size_t slot(int row, int width, int col) {
+  return static_cast<std::size_t>(row * width + col);
+}
+
+}  // namespace
 
 const char* topology_kind_name(TopologyKind k) {
   switch (k) {
@@ -113,8 +123,8 @@ void Topology::build_fat_tree() {
 
   // Edge tier: every edge switch pairs with every aggregation switch in its
   // pod, at host speed (k/2 hosts share k/2 uplinks — 1:1 below the pod).
-  edge_up_.assign(static_cast<std::size_t>(edges) * half_k_, 0);
-  edge_down_.assign(static_cast<std::size_t>(edges) * half_k_, 0);
+  edge_up_.assign(slot(edges, half_k_, 0), 0);
+  edge_down_.assign(slot(edges, half_k_, 0), 0);
   for (int p = 0; p < pods; ++p) {
     for (int e = 0; e < half_k_; ++e) {
       const int edge = p * half_k_ + e;
@@ -124,10 +134,10 @@ void Topology::build_fat_tree() {
                                std::to_string(e);
         const std::string an = "p" + std::to_string(p) + ".a" +
                                std::to_string(a);
-        edge_up_[static_cast<std::size_t>(edge) * half_k_ + a] =
+        edge_up_[slot(edge, half_k_, a)] =
             static_cast<std::uint32_t>(links_.size());
         add_link(en + "->" + an, edge, agg_base + agg, host);
-        edge_down_[static_cast<std::size_t>(edge) * half_k_ + a] =
+        edge_down_[slot(edge, half_k_, a)] =
             static_cast<std::uint32_t>(links_.size());
         add_link(an + "->" + en, agg_base + agg, edge, host);
       }
@@ -136,8 +146,8 @@ void Topology::build_fat_tree() {
 
   // Aggregation tier: agg j of every pod owns core legs
   // [j*k/2, (j+1)*k/2), scaled by the oversubscription ratio.
-  agg_up_.assign(static_cast<std::size_t>(pods) * half_k_ * half_k_, 0);
-  agg_down_.assign(static_cast<std::size_t>(pods) * half_k_ * half_k_, 0);
+  agg_up_.assign(slot(pods * half_k_, half_k_, 0), 0);
+  agg_down_.assign(slot(pods * half_k_, half_k_, 0), 0);
   for (int p = 0; p < pods; ++p) {
     for (int a = 0; a < half_k_; ++a) {
       const int agg = p * half_k_ + a;
@@ -146,8 +156,7 @@ void Topology::build_fat_tree() {
         const std::string an = "p" + std::to_string(p) + ".a" +
                                std::to_string(a);
         const std::string cn = "c" + std::to_string(core);
-        const std::size_t idx =
-            (static_cast<std::size_t>(p) * half_k_ + a) * half_k_ + leg;
+        const std::size_t idx = slot(agg, half_k_, leg);
         agg_up_[idx] = static_cast<std::uint32_t>(links_.size());
         add_link(an + "->" + cn, agg_base + agg, core_base + core, core_tier);
         agg_down_[idx] = static_cast<std::uint32_t>(links_.size());
@@ -172,16 +181,16 @@ void Topology::build_edge_core() {
   const PerByteCost uplink = PerByteCost::picos_per_byte(
       up_ps > 0 ? up_ps : 1);
 
-  edge_up_.assign(static_cast<std::size_t>(edges) * u, 0);
-  edge_down_.assign(static_cast<std::size_t>(edges) * u, 0);
+  edge_up_.assign(slot(edges, u, 0), 0);
+  edge_down_.assign(slot(edges, u, 0), 0);
   for (int e = 0; e < edges; ++e) {
     for (int i = 0; i < u; ++i) {
       const std::string en = "e" + std::to_string(e);
       const std::string cn = "c" + std::to_string(i);
-      edge_up_[static_cast<std::size_t>(e) * u + i] =
+      edge_up_[slot(e, u, i)] =
           static_cast<std::uint32_t>(links_.size());
       add_link(en + "->" + cn, e, core_base + i, uplink);
-      edge_down_[static_cast<std::size_t>(e) * u + i] =
+      edge_down_[slot(e, u, i)] =
           static_cast<std::uint32_t>(links_.size());
       add_link(cn + "->" + en, core_base + i, e, uplink);
     }
@@ -219,8 +228,8 @@ Topology::Path Topology::route(int src, int dst) const {
     const int u = spec_.uplinks_per_edge;
     const int i = static_cast<int>(key % static_cast<std::uint32_t>(u));
     p.hops = 2;
-    p.link[0] = edge_up_[static_cast<std::size_t>(es) * u + i];
-    p.link[1] = edge_down_[static_cast<std::size_t>(ed) * u + i];
+    p.link[0] = edge_up_[slot(es, u, i)];
+    p.link[1] = edge_down_[slot(ed, u, i)];
     return p;
   }
 
@@ -230,8 +239,8 @@ Topology::Path Topology::route(int src, int dst) const {
   if (ps == pd) {
     const int a = static_cast<int>(key % static_cast<std::uint32_t>(half_k_));
     p.hops = 2;
-    p.link[0] = edge_up_[static_cast<std::size_t>(es) * half_k_ + a];
-    p.link[1] = edge_down_[static_cast<std::size_t>(ed) * half_k_ + a];
+    p.link[0] = edge_up_[slot(es, half_k_, a)];
+    p.link[1] = edge_down_[slot(ed, half_k_, a)];
     return p;
   }
   const int core =
@@ -239,12 +248,10 @@ Topology::Path Topology::route(int src, int dst) const {
   const int a = core / half_k_;   // the pod agg wired to this core
   const int leg = core % half_k_;
   p.hops = 4;
-  p.link[0] = edge_up_[static_cast<std::size_t>(es) * half_k_ + a];
-  p.link[1] =
-      agg_up_[(static_cast<std::size_t>(ps) * half_k_ + a) * half_k_ + leg];
-  p.link[2] =
-      agg_down_[(static_cast<std::size_t>(pd) * half_k_ + a) * half_k_ + leg];
-  p.link[3] = edge_down_[static_cast<std::size_t>(ed) * half_k_ + a];
+  p.link[0] = edge_up_[slot(es, half_k_, a)];
+  p.link[1] = agg_up_[slot(ps * half_k_ + a, half_k_, leg)];
+  p.link[2] = agg_down_[slot(pd * half_k_ + a, half_k_, leg)];
+  p.link[3] = edge_down_[slot(ed, half_k_, a)];
   return p;
 }
 
@@ -277,8 +284,7 @@ double Topology::edge_uplink_bytes_per_sec(int e) const {
     case TopologyKind::kEdgeCore: {
       double total = 0.0;
       for (int i = 0; i < spec_.uplinks_per_edge; ++i) {
-        total += links_[edge_up_[static_cast<std::size_t>(e) *
-                                 spec_.uplinks_per_edge + i]]
+        total += links_[edge_up_[slot(e, spec_.uplinks_per_edge, i)]]
                      ->bytes_per_sec();
       }
       return total;
@@ -289,8 +295,7 @@ double Topology::edge_uplink_bytes_per_sec(int e) const {
       double total = 0.0;
       for (int a = 0; a < half_k_; ++a) {
         for (int leg = 0; leg < half_k_; ++leg) {
-          total += links_[agg_up_[(static_cast<std::size_t>(pod) * half_k_ +
-                                   a) * half_k_ + leg]]
+          total += links_[agg_up_[slot(pod * half_k_ + a, half_k_, leg)]]
                        ->bytes_per_sec();
         }
       }

@@ -38,13 +38,6 @@ void SnapshotFileWriter::on_snapshot(const Snapshot& snap) {
   });
 }
 
-void begin_artifacts(Hub& hub, const Artifacts& artifacts) {
-  if (artifacts.want_trace()) hub.tracer.enable();
-  if (artifacts.want_live_metrics()) {
-    hub.adopt(std::make_unique<SnapshotFileWriter>(artifacts.metrics_path));
-  }
-}
-
 void export_artifacts(const Hub& hub, const Artifacts& artifacts) {
   if (!artifacts.trace_path.empty()) {
     write_file(artifacts.trace_path, "trace", [&](std::ostream& os) {

@@ -46,11 +46,6 @@ class SnapshotFileWriter final : public SnapshotSink {
   std::string base_path_;
 };
 
-/// Turns the hub's tracer on when a trace artifact is requested. Call
-/// before traffic starts; tracing is passive, so this cannot change
-/// simulated results (DESIGN.md §9).
-void begin_artifacts(Hub& hub, const Artifacts& artifacts);
-
 /// Writes the requested artifacts; throws std::runtime_error when a
 /// destination cannot be opened or written.
 void export_artifacts(const Hub& hub, const Artifacts& artifacts);

@@ -122,7 +122,8 @@ struct Bitmap256 {
     std::uint64_t bits = w[word] & (~0ULL << (from & 63));
     while (true) {
       if (bits != 0) {
-        return static_cast<int>((word << 6) + std::countr_zero(bits));
+        return static_cast<int>((word << 6) +
+                                static_cast<unsigned>(std::countr_zero(bits)));
       }
       if (++word == 4) return -1;
       bits = w[word];
@@ -187,7 +188,7 @@ class TimingWheelEventQueue final : public EventQueue {
           continue;
         }
         std::uint32_t idx = 0;
-        const bool mapped = ids_.erase(s->id, &idx);
+        [[maybe_unused]] const bool mapped = ids_.erase(s->id, &idx);
         SV_DCHECK(mapped, "live event missing from the id map");
         out->time = s->time;
         out->id = s->id;

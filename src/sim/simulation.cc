@@ -1,5 +1,6 @@
 #include "sim/simulation.h"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -132,6 +133,19 @@ void Simulation::publish_metrics_every(SimTime period) {
             "publish_metrics_every: a snapshot pump is already installed");
   pump_active_ = true;
   engine_.schedule(period, [this, period] { pump_snapshot(period); });
+}
+
+void Simulation::begin_artifacts(const obs::Artifacts& artifacts) {
+  // Tracing is passive, so enabling it cannot change simulated results
+  // (DESIGN.md §9).
+  if (artifacts.want_trace()) obs().tracer.enable();
+  if (artifacts.want_live_metrics()) {
+    obs().adopt(
+        std::make_unique<obs::SnapshotFileWriter>(artifacts.metrics_path));
+    if (!pump_active_) {
+      publish_metrics_every(SimTime::milliseconds(artifacts.metrics_every_ms));
+    }
+  }
 }
 
 void Simulation::pump_snapshot(SimTime period) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/units.h"
+#include "obs/artifacts.h"
 #include "sim/engine.h"
 #include "sim/process.h"
 
@@ -75,6 +76,13 @@ class Simulation {
   /// At most one pump per simulation.
   void publish_metrics_every(SimTime period);
   [[nodiscard]] bool metrics_pump_active() const { return pump_active_; }
+
+  /// Starts a run's requested artifacts: the tracer when a trace is
+  /// requested and, when `artifacts` asks for live metrics, the numbered
+  /// snapshot writer plus the pump at its `metrics_every_ms` cadence. Call
+  /// after construction, before traffic starts. Every experiment driver
+  /// goes through here, so `--metrics-every` means the same everywhere.
+  void begin_artifacts(const obs::Artifacts& artifacts);
 
   /// Runs until no events remain (blocked processes may still exist — that
   /// models processes waiting forever). Rethrows the first process error.

@@ -79,7 +79,7 @@ LoadBalanceResult run_load_balance(const LoadBalanceConfig& cfg) {
 
   sim::Simulation s(cfg.queue_kind);
   net::Cluster cluster(&s, cfg.workers + 1);
-  obs::begin_artifacts(s.obs(), cfg.obs);
+  s.begin_artifacts(cfg.obs);
   sockets::SocketFactory factory(&s, &cluster);
 
   dc::FilterGroup group;

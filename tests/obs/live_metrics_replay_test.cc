@@ -1,6 +1,7 @@
 // Live metric snapshots replay byte-identically (DESIGN.md §15): a seeded
-// open-loop run with `--metrics-every`-style live snapshots enabled writes
-// numbered `<metrics-out>.NNNN` registry dumps on a sim-time cadence. The
+// open-loop or load-balancing run with `--metrics-every`-style live
+// snapshots enabled writes numbered `<metrics-out>.NNNN` registry dumps on
+// a sim-time cadence. The
 // snapshot cadence, the registry contents at each publish, and the JSON
 // serialisation are all deterministic, so two same-seed runs must produce
 // the same file set with the same bytes — the golden contract CI's
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "harness/openloop.h"
+#include "vizapp/loadbalance.h"
 
 namespace sv::harness {
 namespace {
@@ -90,6 +92,47 @@ TEST(LiveMetricsReplay, NumberedSnapshotsAreByteIdenticalAcrossReplays) {
   EXPECT_NE(sa.front(), sa.back());
 
   // The post-mortem file still lands, and matches across replays too.
+  std::string fa;
+  std::string fb;
+  ASSERT_TRUE(read_file(base_a, &fa));
+  ASSERT_TRUE(read_file(base_b, &fb));
+  EXPECT_EQ(fa, fb);
+  std::remove(base_a.c_str());
+  std::remove(base_b.c_str());
+}
+
+TEST(LiveMetricsReplay, LoadBalanceRunWritesNumberedSnapshots) {
+  // The load-balancing driver behind Figs 10/11 builds its own simulation
+  // outside the bench harness; it must honour metrics_every_ms the same way.
+  auto config = [](const std::string& metrics_path) {
+    viz::LoadBalanceConfig cfg;
+    cfg.total_bytes = 2 * 1024 * 1024;
+    cfg.slow_worker = 1;
+    cfg.slow_factor = 4;
+    cfg.obs.metrics_path = metrics_path;
+    cfg.obs.metrics_every_ms = 1;
+    return cfg;
+  };
+  const std::string base_a = "live_metrics_lb_a.json";
+  const std::string base_b = "live_metrics_lb_b.json";
+  const viz::LoadBalanceResult ra = viz::run_load_balance(config(base_a));
+  const viz::LoadBalanceResult rb = viz::run_load_balance(config(base_b));
+  EXPECT_EQ(ra.trace_digest, rb.trace_digest);
+
+  const std::vector<std::string> sa = collect_series(base_a);
+  const std::vector<std::string> sb = collect_series(base_b);
+  // One snapshot per simulated millisecond of the run, give or take the
+  // drain at the end.
+  const auto run_ms = static_cast<std::size_t>(ra.exec_time.ns() / 1'000'000);
+  EXPECT_GE(sa.size() + 1, run_ms);
+  EXPECT_LE(sa.size(), run_ms + 1);
+  ASSERT_GE(sa.size(), 2u);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i], sb[i]) << "snapshot " << i << " diverged";
+  }
+  EXPECT_NE(sa.front(), sa.back());
+
   std::string fa;
   std::string fb;
   ASSERT_TRUE(read_file(base_a, &fa));
