@@ -12,27 +12,6 @@ sockets::SocketPair LocalSocket::make_pair(sim::Simulation* sim,
   return {std::move(a), std::move(b)};
 }
 
-void LocalSocket::send(net::Message m) {
-  const std::uint64_t bytes = m.bytes;
-  const SimTime start = obs_now();
-  m.sent_at = sim_->now();
-  sim_->delay(kHandoffCost);
-  m.delivered_at = sim_->now();
-  out_->send(std::move(m));
-  note_sent(bytes);
-  obs_span(start, "send", bytes);
-}
-
-std::optional<net::Message> LocalSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = in_->recv();
-  if (m) {
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
-}
-
 std::optional<net::Message> LocalSocket::try_recv() {
   auto m = in_->try_recv();
   if (m) {
@@ -55,9 +34,14 @@ sv::Result<std::optional<net::Message>> LocalSocket::recv_for(
 }
 
 sv::Result<void> LocalSocket::send_for(net::Message m, SimTime /*timeout*/) {
-  // The hand-off queue is unbounded: a same-host send never blocks on the
-  // peer, so the timeout cannot trip.
-  send(std::move(m));
+  const std::uint64_t bytes = m.bytes;
+  const SimTime start = obs_now();
+  m.sent_at = sim_->now();
+  sim_->delay(kHandoffCost);
+  m.delivered_at = sim_->now();
+  out_->send(std::move(m));
+  note_sent(bytes);
+  obs_span(start, "send", bytes);
   return sv::Result<void>::success();
 }
 

@@ -15,10 +15,10 @@ class LocalSocket final : public sockets::SvSocket {
   static sockets::SocketPair make_pair(sim::Simulation* sim, net::Node* node,
                                        const std::string& name);
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
   std::optional<net::Message> try_recv() override;
   [[nodiscard]] sv::Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
+  /// The hand-off queue is unbounded: a same-host send never blocks on the
+  /// peer, so the timeout cannot trip.
   [[nodiscard]] sv::Result<void> send_for(net::Message m, SimTime timeout) override;
   void close_send() override;
 

@@ -141,16 +141,11 @@ class Runtime::ContextImpl final : public FilterContext {
 
       // 3. Block for the next fan-in item.
       const SimTime block_start = core_->sim->now();
-      std::optional<CopyState::InPort::Item> item;
-      if (core_->options.io_timeout > SimTime::zero()) {
-        auto r = port.merged->recv_for(core_->options.io_timeout);
-        if (!r.ok()) {
-          throw std::runtime_error(copy_label() + ": " + r.error().message);
-        }
-        item = std::move(r.value());
-      } else {
-        item = port.merged->recv();
+      auto r = port.merged->recv_for(core_->options.io_timeout);
+      if (!r.ok()) {
+        throw std::runtime_error(copy_label() + ": " + r.error().message);
       }
+      std::optional<CopyState::InPort::Item> item = std::move(r.value());
       cs_->c_blocked_ns->inc(
           static_cast<std::uint64_t>((core_->sim->now() - block_start).ns()));
       if (!item) return std::nullopt;  // defensive: merged never closes
@@ -198,19 +193,17 @@ class Runtime::ContextImpl final : public FilterContext {
           break;
         }
         // Every consumer copy is at the outstanding-buffer cap. With an
-        // i/o deadline, a cluster-wide wedge (all consumers stalled)
-        // surfaces as an error instead of blocking this copy forever.
-        const SimTime io = core_->options.io_timeout;
-        if (io > SimTime::zero()) {
-          if (!port.ack_wait->wait_for(io) &&
-              port.unacked[target] >= core_->options.dd_max_unacked) {
-            throw std::runtime_error(
-                copy_label() +
-                ": demand-driven write timed out with every consumer at "
-                "the unacknowledged-buffer cap");
-          }
-        } else {
-          port.ack_wait->wait();
+        // i/o deadline (restarted on every wake-up), a cluster-wide wedge
+        // (all consumers stalled) surfaces as an error instead of blocking
+        // this copy forever.
+        const SimTime deadline = sim::deadline_after(
+            core_->sim->now(), core_->options.io_timeout);
+        if (!port.ack_wait->wait_until(deadline) &&
+            port.unacked[target] >= core_->options.dd_max_unacked) {
+          throw std::runtime_error(
+              copy_label() +
+              ": demand-driven write timed out with every consumer at "
+              "the unacknowledged-buffer cap");
         }
       }
       cs_->c_stall_ns->inc(static_cast<std::uint64_t>(
@@ -544,7 +537,10 @@ void Runtime::close_input() {
 }
 
 std::optional<UowCompletion> Runtime::wait_completion() {
-  return core_->completions.recv();
+  // A zero timeout waits forever, so the only error is kClosed.
+  auto r = wait_completion_for(SimTime::zero());
+  if (!r.ok()) return std::nullopt;
+  return std::move(r.value());
 }
 
 Result<UowCompletion> Runtime::wait_completion_for(SimTime timeout) {

@@ -77,7 +77,9 @@ class Runtime {
   /// filters finalize.
   void close_input();
 
-  /// Blocking wait (from a process) for the next sink-side completion.
+  /// Blocking wait (from a process) for the next sink-side completion;
+  /// nullopt once the completion stream ends. Same as
+  /// wait_completion_for(0) with kClosed mapped to nullopt.
   std::optional<UowCompletion> wait_completion();
 
   /// Timed wait: ErrorCode::kTimeout if no completion lands within

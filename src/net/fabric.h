@@ -4,7 +4,7 @@
 // by a CalibrationProfile. Each message is split into pipeline frames that
 // cross three stages:
 //
-//   sender thread --(window)--> [tx_host] --> wire proc [link_in @ dst]
+//   sender process --(window)--> [tx_host] --> wire proc [link_in @ dst]
 //        --propagation--> proto proc [rx_proto @ dst] --> receive queue
 //
 // Stage occupancy uses the per-node shared resources from cluster.h, so

@@ -12,35 +12,27 @@ void WaitQueue::scrub() {
   }
 }
 
-void WaitQueue::wait() {
+bool WaitQueue::wait_until(SimTime deadline) {
   Process* p = sim_->current();
   if (p == nullptr) {
     throw std::logic_error("WaitQueue[" + name_ + "]::wait outside process");
   }
-  auto entry = std::make_shared<Entry>();
-  entry->proc = p;
-  entries_.push_back(std::move(entry));
-  sim_->block_current(name_);
-}
-
-bool WaitQueue::wait_for(SimTime timeout) {
-  Process* p = sim_->current();
-  if (p == nullptr) {
-    throw std::logic_error("WaitQueue[" + name_ +
-                           "]::wait_for outside process");
-  }
+  if (deadline <= sim_->now()) return false;
   auto entry = std::make_shared<Entry>();
   entry->proc = p;
   entries_.push_back(entry);
-  // The timeout event deliberately captures only the shared entry and the
-  // simulation — never `this` — so it stays safe even if the WaitQueue is
-  // destroyed before the event fires. Timed-out entries are lazily scrubbed.
-  sim_->schedule(timeout, [sim = sim_, entry] {
-    if (entry->done) return;
-    entry->done = true;
-    entry->notified = false;
-    sim->wake(*entry->proc);
-  });
+  if (deadline != SimTime::max()) {
+    // The timeout event deliberately captures only the shared entry and the
+    // simulation — never `this` — so it stays safe even if the WaitQueue is
+    // destroyed before the event fires. Timed-out entries are lazily
+    // scrubbed.
+    sim_->schedule_at(deadline, [sim = sim_, entry] {
+      if (entry->done) return;
+      entry->done = true;
+      entry->notified = false;
+      sim->wake(*entry->proc);
+    });
+  }
   sim_->block_current(name_);
   return entry->notified;
 }

@@ -3,6 +3,12 @@
 // All primitives are condition-variable style: a woken waiter re-checks its
 // predicate, so these compose safely even with multiple producers/consumers.
 // FIFO wake order keeps runs deterministic.
+//
+// Every blocking wait in the simulator goes through one implementation,
+// WaitQueue::wait_until(deadline). "Wait forever" is the deadline
+// SimTime::max() (no timer event), and the untimed calls are wrappers over
+// the timed ones. Timed APIs that take a relative timeout turn it into a
+// deadline once, with deadline_after(), where a timeout <= 0 means forever.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +23,17 @@
 
 namespace sv::sim {
 
+/// The absolute deadline of a wait of `timeout` that starts at `now`. A
+/// timeout <= 0 means "wait forever" (SimTime::max()), and a timeout too
+/// large to add to `now` saturates at SimTime::max() instead of
+/// overflowing.
+[[nodiscard]] constexpr SimTime deadline_after(SimTime now, SimTime timeout) {
+  if (timeout <= SimTime::zero() || timeout >= SimTime::max() - now) {
+    return SimTime::max();
+  }
+  return now + timeout;
+}
+
 /// A FIFO queue of blocked processes; the building block for conditions,
 /// semaphores and channels.
 class WaitQueue {
@@ -25,10 +42,13 @@ class WaitQueue {
       : sim_(sim), name_(std::move(name)) {}
 
   /// Blocks the calling process until notified.
-  void wait();
-  /// Blocks until notified or until `timeout` elapses.
-  /// Returns true if notified, false on timeout.
-  bool wait_for(SimTime timeout);
+  void wait() { (void)wait_until(SimTime::max()); }
+  /// Blocks until notified or until simulated time reaches `deadline`.
+  /// Returns true if notified, false on timeout. SimTime::max() waits
+  /// forever and schedules no timer; a deadline at or before now() returns
+  /// false at once, without blocking or scheduling anything; any other
+  /// deadline schedules exactly one timer event, at `deadline`.
+  bool wait_until(SimTime deadline);
 
   /// Wakes the oldest waiter; returns false if none.
   bool notify_one();
@@ -109,35 +129,19 @@ class Channel {
 
   /// Blocks while empty. Returns nullopt once closed and drained.
   std::optional<T> recv() {
-    while (items_.empty() && !closed_) {
-      receivers_.wait();
-    }
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    senders_.notify_one();
-    return item;
+    (void)await_item(SimTime::max());
+    return try_recv();
   }
 
   /// Timed receive: like recv() but gives up after `timeout` with an
   /// ErrorCode::kTimeout error. ok(nullopt) still means closed-and-drained;
   /// `timeout` <= 0 means wait forever.
   [[nodiscard]] Result<std::optional<T>> recv_for(SimTime timeout) {
-    if (timeout <= SimTime::zero()) return recv();
-    const SimTime deadline = sim_->now() + timeout;
-    while (items_.empty() && !closed_) {
-      const SimTime remaining = deadline - sim_->now();
-      if (remaining <= SimTime::zero() || !receivers_.wait_for(remaining)) {
-        if (!items_.empty() || closed_) break;  // raced with a late arrival
-        return Error::timeout("Channel[" + name_ + "]: recv timed out after " +
-                              timeout.to_string());
-      }
+    if (!await_item(deadline_after(sim_->now(), timeout))) {
+      return Error::timeout("Channel[" + name_ + "]: recv timed out after " +
+                            timeout.to_string());
     }
-    if (items_.empty()) return std::optional<T>{};  // closed and drained
-    std::optional<T> item = std::move(items_.front());
-    items_.pop_front();
-    senders_.notify_one();
-    return item;
+    return try_recv();
   }
 
   /// Non-blocking receive.
@@ -162,6 +166,17 @@ class Channel {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:
+  /// Blocks until an item is queued or the channel is closed; false if
+  /// `deadline` passed first.
+  bool await_item(SimTime deadline) {
+    while (items_.empty() && !closed_) {
+      if (!receivers_.wait_until(deadline) && items_.empty() && !closed_) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   Simulation* sim_;
   std::size_t capacity_;
   std::string name_;

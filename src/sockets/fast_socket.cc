@@ -34,34 +34,6 @@ FastSocket::FastSocket(sim::Simulation* sim, net::Transport transport,
   init_obs(sim, node->id(), peer->id(), "fast");
 }
 
-void FastSocket::send(net::Message m) {
-  const std::uint64_t bytes = m.bytes;
-  const std::uint64_t buffer = m.buffer;
-  const SimTime start = obs_now();
-  bool release = false;
-  if (transport_copies(transport_)) {
-    // TCP's copies are structural; the policy does not apply.
-    note_copy("tcp.user_to_kernel", bytes);
-  } else {
-    release = policy_acquire(buffer, bytes);
-  }
-  out_->send(std::move(m));
-  if (release) policy_release(buffer, bytes);
-  note_sent(bytes);
-  obs_span(start, "send", bytes);
-}
-
-std::optional<net::Message> FastSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = in_->recv();
-  if (m) {
-    if (transport_copies(transport_)) note_copy("tcp.kernel_to_user", m->bytes);
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
-}
-
 std::optional<net::Message> FastSocket::try_recv() {
   auto m = in_->try_recv();
   if (m) {
@@ -90,14 +62,18 @@ Result<void> FastSocket::send_for(net::Message m, SimTime timeout) {
   const std::uint64_t bytes = m.bytes;
   const std::uint64_t buffer = m.buffer;
   const SimTime start = obs_now();
-  // Policy work happens before the transport accepts the message — a
-  // pinned-then-timed-out message still paid for its pin.
-  const bool release =
-      transport_copies(transport_) ? false : policy_acquire(buffer, bytes);
+  // Copy and policy work happen before the transport accepts the message:
+  // a send that then times out still paid for its copy or its pin.
+  bool release = false;
+  if (transport_copies(transport_)) {
+    // TCP's copies are structural; the policy does not apply.
+    note_copy("tcp.user_to_kernel", bytes);
+  } else {
+    release = policy_acquire(buffer, bytes);
+  }
   auto r = out_->send_for(std::move(m), timeout);
   if (release) policy_release(buffer, bytes);
   if (r.ok()) {
-    if (transport_copies(transport_)) note_copy("tcp.user_to_kernel", bytes);
     note_sent(bytes);
     obs_span(start, "send", bytes);
   } else {

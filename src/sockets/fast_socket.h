@@ -16,8 +16,6 @@ class FastSocket final : public SvSocket {
                               net::CalibrationProfile profile,
                               const std::string& name);
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
   std::optional<net::Message> try_recv() override;
   [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
   [[nodiscard]] Result<void> send_for(net::Message m, SimTime timeout) override;

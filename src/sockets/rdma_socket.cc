@@ -72,14 +72,13 @@ void RdmaPushSocket::PairState::post_control_recv(int i) {
   s.vi->post_recv(std::move(d));
 }
 
-void RdmaPushSocket::PairState::send_control(int i, Kind kind,
+void RdmaPushSocket::PairState::send_control(int i, imm::Kind kind,
                                              std::uint32_t value) {
   Side& s = sides[static_cast<std::size_t>(i)];
   via::Descriptor d;
   d.region = s.send_region;
   d.length = 0;
-  d.immediate = (static_cast<std::uint32_t>(kind) << kKindShift) |
-                (value & kValueMask);
+  d.immediate = imm::encode(kind, value);
   s.vi->post_send(std::move(d));
   while (s.vi->send_cq().poll()) {
   }
@@ -95,20 +94,19 @@ void RdmaPushSocket::PairState::demux_loop(int i) {
                              std::string(via::status_name(c.status)));
     }
     post_control_recv(i);  // keep the notification pool full
-    const auto kind = static_cast<Kind>(c.immediate >> kKindShift);
-    const std::uint32_t value = c.immediate & kValueMask;
-    switch (kind) {
-      case kCredit:
-        me.slots += value;
+    const imm::Decoded tag = imm::decode(c.immediate);
+    switch (tag.kind) {
+      case imm::Kind::kCredit:
+        me.slots += tag.value;
         me.slot_wait.notify_all();
         break;
-      case kEof:
+      case imm::Kind::kEof:
         if (!me.delivered.closed()) me.delivered.close();
         break;
-      case kFirst:
-        me.pending_chunks = value;
+      case imm::Kind::kFirst:
+        me.pending_chunks = tag.value;
         [[fallthrough]];
-      case kCont: {
+      case imm::Kind::kCont: {
         --me.pending_chunks;
         ++me.consumed_since_credit;
         if (me.pending_chunks == 0) {
@@ -123,7 +121,7 @@ void RdmaPushSocket::PairState::demux_loop(int i) {
           }
         }
         if (me.consumed_since_credit >= options.credit_batch) {
-          send_control(i, kCredit, me.consumed_since_credit);
+          send_control(i, imm::Kind::kCredit, me.consumed_since_credit);
           me.consumed_since_credit = 0;
         }
         break;
@@ -136,27 +134,14 @@ net::Node& RdmaPushSocket::local_node() const { return mine().nic->node(); }
 
 std::uint32_t RdmaPushSocket::available_slots() const { return mine().slots; }
 
-void RdmaPushSocket::send(net::Message m) {
-  (void)send_impl(std::move(m), /*timed=*/false, SimTime::zero());
-}
-
 Result<void> RdmaPushSocket::send_for(net::Message m, SimTime timeout) {
-  if (timeout <= SimTime::zero()) {
-    send(std::move(m));
-    return Result<void>::success();
-  }
-  return send_impl(std::move(m), /*timed=*/true,
-                   state_->sim->now() + timeout);
-}
-
-Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
-                                       SimTime deadline) {
   Side& me = mine();
   Side& peer = state_->sides[static_cast<std::size_t>(1 - side_)];
   if (me.send_closed) {
     throw std::logic_error("RdmaPushSocket::send after close");
   }
   const SimTime start = obs_now();
+  const SimTime deadline = sim::deadline_after(state_->sim->now(), timeout);
   m.sent_at = state_->sim->now();
 
   // Selective-copy policy consult (DESIGN.md §14); null policy = legacy
@@ -167,7 +152,7 @@ Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
   const std::uint64_t slot_bytes = state_->options.slot_bytes;
   const std::uint64_t nchunks =
       std::max<std::uint64_t>(1, (m.bytes + slot_bytes - 1) / slot_bytes);
-  if (nchunks > kValueMask) {
+  if (nchunks > imm::kMaxValue) {
     throw std::invalid_argument("RdmaPushSocket::send: message too large");
   }
   const std::uint64_t total = m.bytes;
@@ -175,15 +160,7 @@ Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
   std::uint64_t remaining = total;
   for (std::uint64_t i = 0; i < nchunks; ++i) {
     while (me.slots == 0) {
-      if (!timed) {
-        me.slot_wait.wait();
-        continue;
-      }
-      const SimTime left = deadline - state_->sim->now();
-      if (left > SimTime::zero() && me.slot_wait.wait_for(left)) {
-        continue;
-      }
-      if (me.slots == 0) {
+      if (!me.slot_wait.wait_until(deadline) && me.slots == 0) {
         if (release) policy_release(buffer, total);
         note_timeout("timeout.slot_stall");
         return Error::timeout(
@@ -204,9 +181,9 @@ Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
         (me.next_slot++ % state_->options.ring_slots) * slot_bytes;
     d.remote_notify = true;
     d.immediate =
-        i == 0 ? ((kFirst << kKindShift) |
-                  (static_cast<std::uint32_t>(nchunks) & kValueMask))
-               : (kCont << kKindShift);
+        i == 0 ? imm::encode(imm::Kind::kFirst,
+                             static_cast<std::uint32_t>(nchunks))
+               : imm::encode(imm::Kind::kCont);
     me.vi->post_send(std::move(d));
     while (me.vi->send_cq().poll()) {
     }
@@ -215,16 +192,6 @@ Result<void> RdmaPushSocket::send_impl(net::Message m, bool timed,
   note_sent(total);
   obs_span(start, "send", total);
   return Result<void>::success();
-}
-
-std::optional<net::Message> RdmaPushSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = mine().delivered.recv();
-  if (m) {
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
 }
 
 Result<std::optional<net::Message>> RdmaPushSocket::recv_for(
@@ -252,7 +219,7 @@ void RdmaPushSocket::close_send() {
   Side& me = mine();
   if (me.send_closed) return;
   me.send_closed = true;
-  state_->send_control(side_, kEof, 0);
+  state_->send_control(side_, imm::Kind::kEof, 0);
 }
 
 }  // namespace sv::sockets

@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "sim/sync.h"
+#include "sockets/immediate.h"
 #include "sockets/socket.h"
 #include "via/via.h"
 
@@ -38,8 +39,6 @@ class RdmaPushSocket final : public SvSocket {
                               RdmaSocketOptions options = {});
   ~RdmaPushSocket() override;
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
   std::optional<net::Message> try_recv() override;
   [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
   /// Timed send with slot-stall detection (the ring analogue of the
@@ -55,15 +54,6 @@ class RdmaPushSocket final : public SvSocket {
   [[nodiscard]] std::uint32_t available_slots() const;
 
  private:
-  enum Kind : std::uint32_t {
-    kFirst = 0,
-    kCont = 1,
-    kCredit = 2,
-    kEof = 3,
-  };
-  static constexpr std::uint32_t kKindShift = 30;
-  static constexpr std::uint32_t kValueMask = (1u << kKindShift) - 1;
-
   struct Side {
     Side(sim::Simulation* sim, int index);
 
@@ -96,13 +86,11 @@ class RdmaPushSocket final : public SvSocket {
 
     void setup_side(int i, via::Nic& nic, std::shared_ptr<via::Vi> vi);
     void post_control_recv(int i);
-    void send_control(int i, Kind kind, std::uint32_t value);
+    void send_control(int i, imm::Kind kind, std::uint32_t value);
     void demux_loop(int i);
   };
 
   RdmaPushSocket(std::shared_ptr<PairState> state, int side);
-
-  Result<void> send_impl(net::Message m, bool timed, SimTime deadline);
 
   [[nodiscard]] Side& mine() const {
     return state_->sides[static_cast<std::size_t>(side_)];

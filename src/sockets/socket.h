@@ -15,6 +15,11 @@
 //    Nagle) or a SocketVIA implementation over the VIA provider library
 //    (descriptor pools, credit-based flow control, credit-update messages).
 // Tests assert the two levels agree on message timing.
+//
+// Each transport implements one timed body per operation (send_for,
+// recv_for); the blocking send()/recv() are non-virtual wrappers that pass
+// a zero timeout ("wait forever"), so the blocking and the timed paths
+// cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/result.h"
 #include "mem/copy_policy.h"
@@ -56,11 +62,17 @@ class SvSocket {
 
   /// Blocking send; returns when the message is accepted by the transport
   /// (flow control may block the caller). Must run inside a simulated
-  /// process on the socket's node.
-  virtual void send(net::Message m) = 0;
+  /// process on the socket's node. Same as send_for(m, 0).
+  void send(net::Message m) {
+    // A zero timeout waits forever, so the result is always ok.
+    (void)send_for(std::move(m), SimTime::zero());
+  }
 
   /// Blocking receive; nullopt after the peer closed and all data drained.
-  virtual std::optional<net::Message> recv() = 0;
+  /// Same as recv_for(0).
+  std::optional<net::Message> recv() {
+    return std::move(recv_for(SimTime::zero()).value());
+  }
   /// Non-blocking receive.
   virtual std::optional<net::Message> try_recv() = 0;
 
@@ -75,7 +87,9 @@ class SvSocket {
   /// message within `timeout` (<= 0 means wait forever) — e.g. SocketVIA
   /// starved of credits by a stalled receiver, or TCP against a closed
   /// window. Part of the message may already be in flight after a timeout;
-  /// treat the stream as failed.
+  /// treat the stream as failed. Every cost the transport charges before
+  /// accepting a message (copies, policy work) is charged on this path
+  /// whether or not the send then times out.
   [[nodiscard]] virtual Result<void> send_for(net::Message m, SimTime timeout) = 0;
 
   /// Half-close: no further sends from this side; peer sees end-of-stream.

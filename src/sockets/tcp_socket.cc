@@ -60,7 +60,7 @@ net::Node& DetailedTcpSocket::local_node() const {
   return conn_->stack().node();
 }
 
-void DetailedTcpSocket::send(net::Message m) {
+Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
   const std::uint64_t bytes = m.bytes;
   const SimTime start = obs_now();
   m.sent_at = conn_->stack().sim().now();
@@ -72,51 +72,35 @@ void DetailedTcpSocket::send(net::Message m) {
   // Handing user bytes to the stack models the write()-side user->kernel
   // copy; its time is already in the calibrated per-byte send cost.
   note_copy("tcp.user_to_kernel", bytes);
-  conn_->send_payload(std::move(frame));
-  note_sent(bytes);
-  obs_span(start, "send", bytes);
-}
-
-std::optional<net::Message> DetailedTcpSocket::recv() {
-  const SimTime start = obs_now();
-  while (incoming_->metas.empty()) {
-    incoming_->meta_available.wait();
+  auto r = conn_->send_payload_for(std::move(frame), timeout);
+  if (r.ok()) {
+    note_sent(bytes);
+    obs_span(start, "send", bytes);
+  } else {
+    note_timeout("timeout.sndbuf");
   }
-  if (is_eof_marker(incoming_->metas.front())) {
-    peer_closed_ = true;
-    return std::nullopt;
-  }
-  net::Message m = std::move(incoming_->metas.front());
-  incoming_->metas.pop_front();
-  const mem::Payload frame = conn_->recv_exact_payload(kHeaderBytes + m.bytes);
-  attach_body(m, frame, kHeaderBytes);
-  note_copy("tcp.kernel_to_user", m.bytes);
-  m.delivered_at = conn_->stack().sim().now();
-  note_received(m.bytes);
-  obs_span(start, "recv", m.bytes);
-  return m;
+  return r;
 }
 
 Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
     SimTime timeout) {
-  if (timeout <= SimTime::zero()) return recv();
   const SimTime start = obs_now();
-  const SimTime deadline = conn_->stack().sim().now() + timeout;
+  const SimTime deadline =
+      sim::deadline_after(conn_->stack().sim().now(), timeout);
   while (incoming_->metas.empty()) {
-    const SimTime left = deadline - conn_->stack().sim().now();
-    if (left <= SimTime::zero() ||
-        !incoming_->meta_available.wait_for(left)) {
-      if (!incoming_->metas.empty()) break;  // raced with a late arrival
+    if (!incoming_->meta_available.wait_until(deadline) &&
+        incoming_->metas.empty()) {
       note_timeout("timeout.recv");
       return Error::timeout("DetailedTcpSocket: recv timed out");
     }
   }
   if (is_eof_marker(incoming_->metas.front())) {
-    peer_closed_ = true;
     return std::optional<net::Message>{};
   }
   // Drain the frame with the remaining budget; the meta entry is consumed
-  // only on success so a timed-out socket fails loudly, not subtly.
+  // only on success so a timed-out socket fails loudly, not subtly. A
+  // deadline of SimTime::max() leaves a remaining budget that saturates
+  // back to "forever".
   const std::uint64_t frame = kHeaderBytes + incoming_->metas.front().bytes;
   const SimTime left = deadline - conn_->stack().sim().now();
   if (left <= SimTime::zero()) {
@@ -136,28 +120,6 @@ Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
   note_received(m.bytes);
   obs_span(start, "recv", m.bytes);
   return std::optional<net::Message>(std::move(m));
-}
-
-Result<void> DetailedTcpSocket::send_for(net::Message m, SimTime timeout) {
-  if (timeout <= SimTime::zero()) {
-    send(std::move(m));
-    return Result<void>::success();
-  }
-  const std::uint64_t bytes = m.bytes;
-  const SimTime start = obs_now();
-  m.sent_at = conn_->stack().sim().now();
-  mem::Payload frame = take_frame(m, kHeaderBytes);
-  outgoing_->metas.push_back(std::move(m));
-  outgoing_->meta_available.notify_all();
-  auto r = conn_->send_payload_for(std::move(frame), timeout);
-  if (r.ok()) {
-    note_copy("tcp.user_to_kernel", bytes);
-    note_sent(bytes);
-    obs_span(start, "send", bytes);
-  } else {
-    note_timeout("timeout.sndbuf");
-  }
-  return r;
 }
 
 std::optional<net::Message> DetailedTcpSocket::try_recv() {

@@ -23,8 +23,6 @@ class DetailedTcpSocket final : public SvSocket {
   static SocketPair make_pair(tcpstack::TcpStack& a, tcpstack::TcpStack& b,
                               tcpstack::TcpOptions options = {});
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
   std::optional<net::Message> try_recv() override;
   /// Timed receive. On kTimeout a frame may be partially drained from the
   /// TCP stream; the socket must then be abandoned.
@@ -61,7 +59,6 @@ class DetailedTcpSocket final : public SvSocket {
   std::shared_ptr<tcpstack::TcpConnection> conn_;
   std::shared_ptr<Direction> outgoing_;
   std::shared_ptr<Direction> incoming_;
-  bool peer_closed_ = false;
 };
 
 }  // namespace sv::sockets

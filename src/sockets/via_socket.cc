@@ -80,14 +80,13 @@ void DetailedViaSocket::PairState::post_one_recv(int i) {
   s.vi->post_recv(std::move(d));
 }
 
-void DetailedViaSocket::PairState::send_control(int i, Kind kind,
+void DetailedViaSocket::PairState::send_control(int i, imm::Kind kind,
                                                 std::uint32_t value) {
   Side& s = sides[static_cast<std::size_t>(i)];
   via::Descriptor d;
   d.region = s.send_region;
   d.length = 0;
-  d.immediate = (static_cast<std::uint32_t>(kind) << kKindShift) |
-                (value & kValueMask);
+  d.immediate = imm::encode(kind, value);
   s.vi->post_send(std::move(d));
   while (s.vi->send_cq().poll()) {
   }
@@ -105,21 +104,20 @@ void DetailedViaSocket::PairState::demux_loop(int i) {
     // Immediately re-post the consumed descriptor to keep the pool full —
     // the invariant that makes credit-gated sends always land.
     post_one_recv(i);
-    const auto kind = static_cast<Kind>(c.immediate >> kKindShift);
-    const std::uint32_t value = c.immediate & kValueMask;
-    switch (kind) {
-      case kCredit:
+    const imm::Decoded tag = imm::decode(c.immediate);
+    switch (tag.kind) {
+      case imm::Kind::kCredit:
         // Credits returned for data *this side* previously sent.
-        me.credits += value;
+        me.credits += tag.value;
         me.credit_wait.notify_all();
         break;
-      case kEof:
+      case imm::Kind::kEof:
         if (!me.delivered.closed()) me.delivered.close();
         break;
-      case kFirst:
-        me.pending_chunks = value;
+      case imm::Kind::kFirst:
+        me.pending_chunks = tag.value;
         [[fallthrough]];
-      case kCont: {
+      case imm::Kind::kCont: {
         --me.pending_chunks;
         // Receiver-side socket bookkeeping delta over raw VIA.
         sim->delay(SimTime::nanoseconds(100));
@@ -139,7 +137,7 @@ void DetailedViaSocket::PairState::demux_loop(int i) {
           }
         }
         if (me.consumed_since_credit >= options.credit_batch) {
-          send_control(i, kCredit, me.consumed_since_credit);
+          send_control(i, imm::Kind::kCredit, me.consumed_since_credit);
           me.credit_updates->inc();
           me.consumed_since_credit = 0;
         }
@@ -162,27 +160,13 @@ std::uint64_t DetailedViaSocket::credit_updates_sent() const {
                                           : mine().credit_updates->value();
 }
 
-void DetailedViaSocket::send(net::Message m) {
-  // Untimed: the credit wait can only end with credits, so always ok.
-  (void)send_impl(std::move(m), /*timed=*/false, SimTime::zero());
-}
-
 Result<void> DetailedViaSocket::send_for(net::Message m, SimTime timeout) {
-  if (timeout <= SimTime::zero()) {
-    send(std::move(m));
-    return Result<void>::success();
-  }
-  return send_impl(std::move(m), /*timed=*/true,
-                   state_->sim->now() + timeout);
-}
-
-Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
-                                          SimTime deadline) {
   Side& me = mine();
   if (me.send_closed) {
     throw std::logic_error("DetailedViaSocket::send after close");
   }
   const SimTime start = obs_now();
+  const SimTime deadline = sim::deadline_after(state_->sim->now(), timeout);
   m.sent_at = state_->sim->now();
 
   // Selective-copy policy consult (DESIGN.md §14): decides whether this
@@ -194,7 +178,7 @@ Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
   const std::uint64_t chunk = state_->options.chunk_bytes;
   const std::uint64_t nchunks =
       std::max<std::uint64_t>(1, (m.bytes + chunk - 1) / chunk);
-  if (nchunks > kValueMask) {
+  if (nchunks > imm::kMaxValue) {
     throw std::invalid_argument("DetailedViaSocket::send: message too large");
   }
   // SocketVIA bookkeeping beyond raw VIA (buffer management, header build):
@@ -206,18 +190,10 @@ Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
   std::uint64_t remaining = total;
   for (std::uint64_t i = 0; i < nchunks; ++i) {
     while (me.credits == 0) {
-      if (!timed) {
-        me.credit_wait.wait();
-        continue;
-      }
       // Credit-stall detection: a receiver that stops consuming (stalled
       // node, wedged filter) stops returning credits; bail out cleanly
       // instead of blocking this process forever.
-      const SimTime left = deadline - state_->sim->now();
-      if (left > SimTime::zero() && me.credit_wait.wait_for(left)) {
-        continue;
-      }
-      if (me.credits == 0) {
+      if (!me.credit_wait.wait_until(deadline) && me.credits == 0) {
         // A pinned-on-the-fly region is unpinned even on a failed send.
         if (release) policy_release(buffer, total);
         note_timeout("timeout.credit_stall");
@@ -234,9 +210,9 @@ Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
     d.offset = 0;
     d.length = len;
     d.immediate =
-        i == 0 ? ((kFirst << kKindShift) |
-                  (static_cast<std::uint32_t>(nchunks) & kValueMask))
-               : (kCont << kKindShift);
+        i == 0 ? imm::encode(imm::Kind::kFirst,
+                             static_cast<std::uint32_t>(nchunks))
+               : imm::encode(imm::Kind::kCont);
     // Per-chunk socket-layer work (the per-segment calibration delta).
     state_->sim->delay(SimTime::nanoseconds(100));
     me.vi->post_send(std::move(d));
@@ -248,16 +224,6 @@ Result<void> DetailedViaSocket::send_impl(net::Message m, bool timed,
   note_sent(total);
   obs_span(start, "send", total);
   return Result<void>::success();
-}
-
-std::optional<net::Message> DetailedViaSocket::recv() {
-  const SimTime start = obs_now();
-  auto m = mine().delivered.recv();
-  if (m) {
-    note_received(m->bytes);
-    obs_span(start, "recv", m->bytes);
-  }
-  return m;
 }
 
 Result<std::optional<net::Message>> DetailedViaSocket::recv_for(
@@ -285,7 +251,7 @@ void DetailedViaSocket::close_send() {
   Side& me = mine();
   if (me.send_closed) return;
   me.send_closed = true;
-  state_->send_control(side_, kEof, 0);
+  state_->send_control(side_, imm::Kind::kEof, 0);
 }
 
 }  // namespace sv::sockets

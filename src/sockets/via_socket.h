@@ -6,7 +6,8 @@
 // posted peer buffer) so a VIA send never arrives without a matching
 // receive descriptor; receivers return credits in batched credit-update
 // messages on the same VI. Message boundaries and kinds ride the VIA
-// immediate data. EOF is an in-band control message.
+// immediate data (format in immediate.h). EOF is an in-band control
+// message.
 //
 // All data and control messages are real via::Vi descriptors, so flow
 // control, credit traffic, and completion handling all cost simulated time
@@ -23,6 +24,7 @@
 #include <memory>
 
 #include "sim/sync.h"
+#include "sockets/immediate.h"
 #include "sockets/socket.h"
 #include "via/via.h"
 
@@ -45,8 +47,6 @@ class DetailedViaSocket final : public SvSocket {
                               ViaSocketOptions options = {});
   ~DetailedViaSocket() override;
 
-  void send(net::Message m) override;
-  std::optional<net::Message> recv() override;
   std::optional<net::Message> try_recv() override;
   /// Timed receive (ok(nullopt) = EOF; kTimeout = nothing delivered).
   [[nodiscard]] Result<std::optional<net::Message>> recv_for(SimTime timeout) override;
@@ -66,16 +66,6 @@ class DetailedViaSocket final : public SvSocket {
   [[nodiscard]] std::uint64_t credit_updates_sent() const;
 
  private:
-  // Immediate-data encoding: kind in the top 2 bits, value in the low 30.
-  enum Kind : std::uint32_t {
-    kFirst = 0,   // value = total chunk count of the message
-    kCont = 1,    // continuation chunk
-    kCredit = 2,  // value = credits returned
-    kEof = 3,     // sender half-closed
-  };
-  static constexpr std::uint32_t kKindShift = 30;
-  static constexpr std::uint32_t kValueMask = (1u << kKindShift) - 1;
-
   /// Per-endpoint connection state, co-owned by the demux process.
   struct Side {
     Side(sim::Simulation* sim, int index);
@@ -110,15 +100,11 @@ class DetailedViaSocket final : public SvSocket {
 
     void setup_side(int i, via::Nic& nic, std::shared_ptr<via::Vi> vi);
     void post_one_recv(int i);
-    void send_control(int i, Kind kind, std::uint32_t value);
+    void send_control(int i, imm::Kind kind, std::uint32_t value);
     void demux_loop(int i);
   };
 
   DetailedViaSocket(std::shared_ptr<PairState> state, int side);
-
-  /// Shared body of send()/send_for(); `deadline` is ignored when `timed`
-  /// is false.
-  Result<void> send_impl(net::Message m, bool timed, SimTime deadline);
 
   [[nodiscard]] Side& mine() const {
     return state_->sides[static_cast<std::size_t>(side_)];

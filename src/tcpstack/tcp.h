@@ -166,10 +166,9 @@ class TcpConnection {
     mem::Payload payload{};
   };
 
-  /// Common body of send/send_for (timeout <= 0 means wait forever).
-  Result<void> send_impl(mem::Payload payload, SimTime timeout);
-  /// Common body of the recv_exact family. When `out` is non-null the
-  /// drained bytes are appended to it as zero-copy slices.
+  /// Common body of the recv_exact family (timeout <= 0 means wait
+  /// forever). When `out` is non-null the drained bytes are appended to it
+  /// as zero-copy slices.
   Result<std::uint64_t> recv_exact_impl(std::uint64_t n, SimTime timeout,
                                         mem::Payload* out);
   void tx_loop();

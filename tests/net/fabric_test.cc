@@ -134,6 +134,58 @@ TEST(FabricTest, WindowBlocksSender) {
   EXPECT_GE(tx_done, rx_times[5]);
 }
 
+TEST(FabricTest, MaxTimeoutWaitsForeverLikeTheBlockingCalls) {
+  // send_for/recv_for(SimTime::max()) called at t > 0 must saturate to
+  // "wait forever" (no overflow, no timer) and run exactly like send/recv.
+  struct Run {
+    SimTime tx_done;
+    std::vector<SimTime> rx_times;
+    std::uint64_t digest = 0;
+  };
+  auto run = [](bool timed) {
+    Fixture f;
+    CalibrationProfile prof = f.prof;
+    prof.window_bytes = 8192;
+    Pipe pipe(&f.s, &f.cluster.node(0), &f.cluster.node(1), prof, "p");
+    Run out;
+    f.s.spawn("tx", [&] {
+      f.s.delay(5_us);
+      for (int i = 0; i < 8; ++i) {
+        Message m;
+        m.bytes = 4096;
+        if (timed) {
+          EXPECT_TRUE(pipe.send_for(m, SimTime::max()).ok());
+        } else {
+          pipe.send(m);
+        }
+      }
+      out.tx_done = f.s.now();
+    });
+    f.s.spawn("rx", [&] {
+      f.s.delay(5_us);
+      for (int i = 0; i < 8; ++i) {
+        if (timed) {
+          auto r = pipe.recv_for(SimTime::max());
+          EXPECT_TRUE(r.ok() && r.value().has_value());
+        } else {
+          EXPECT_TRUE(pipe.recv().has_value());
+        }
+        out.rx_times.push_back(f.s.now());
+      }
+    });
+    f.s.run();
+    out.digest = f.s.engine().trace_digest();
+    return out;
+  };
+  const Run blocking = run(false);
+  const Run timed = run(true);
+  ASSERT_EQ(timed.rx_times.size(), 8u);
+  EXPECT_GE(timed.tx_done, timed.rx_times[5]);  // the window did block
+  EXPECT_EQ(timed.tx_done, blocking.tx_done);
+  EXPECT_EQ(timed.rx_times, blocking.rx_times);
+  EXPECT_EQ(timed.digest, blocking.digest);
+}
+
 TEST(FabricTest, OversizedMessageAdmittedAlone) {
   Fixture f;
   CalibrationProfile prof = f.prof;

@@ -64,7 +64,7 @@ TEST(WaitQueueTest, WaitForTimesOut) {
   bool notified = true;
   SimTime when;
   s.spawn("p", [&] {
-    notified = q.wait_for(50_us);
+    notified = q.wait_until(s.now() + 50_us);
     when = s.now();
   });
   s.run();
@@ -79,7 +79,7 @@ TEST(WaitQueueTest, WaitForNotifiedBeforeTimeout) {
   bool notified = false;
   SimTime when;
   s.spawn("p", [&] {
-    notified = q.wait_for(50_us);
+    notified = q.wait_until(s.now() + 50_us);
     when = s.now();
   });
   s.spawn("n", [&] {
@@ -96,7 +96,7 @@ TEST(WaitQueueTest, TimedOutEntrySkippedByLaterNotify) {
   WaitQueue q(&s);
   std::vector<std::string> woken;
   s.spawn("timed", [&] {
-    if (!q.wait_for(10_us)) woken.push_back("timed-timeout");
+    if (!q.wait_until(s.now() + 10_us)) woken.push_back("timed-timeout");
   });
   s.spawn("patient", [&] {
     q.wait();
@@ -109,6 +109,58 @@ TEST(WaitQueueTest, TimedOutEntrySkippedByLaterNotify) {
   s.run();
   EXPECT_EQ(woken,
             (std::vector<std::string>{"timed-timeout", "patient"}));
+}
+
+TEST(WaitQueueTest, WaitUntilPastDeadlineReturnsAtOnceWithoutAnEvent) {
+  Simulation s;
+  WaitQueue q(&s);
+  bool at_now = true;
+  bool before_now = true;
+  std::uint64_t fired_before = 0;
+  std::uint64_t fired_after = 1;
+  SimTime when;
+  s.spawn("p", [&] {
+    s.delay(5_us);
+    fired_before = s.events_fired();
+    at_now = q.wait_until(s.now());
+    before_now = q.wait_until(s.now() - 1_ns);
+    fired_after = s.events_fired();
+    when = s.now();
+  });
+  s.run();
+  EXPECT_FALSE(at_now);
+  EXPECT_FALSE(before_now);
+  EXPECT_EQ(fired_after, fired_before);
+  EXPECT_EQ(when, 5_us);
+  EXPECT_EQ(q.waiter_count(), 0u);
+}
+
+TEST(WaitQueueTest, WaitUntilMaxSchedulesNoTimer) {
+  Simulation s;
+  WaitQueue q(&s);
+  bool notified = false;
+  std::size_t pending_while_blocked = 1;
+  s.spawn("p", [&] { notified = q.wait_until(SimTime::max()); });
+  s.spawn("n", [&] {
+    s.delay(5_us);
+    pending_while_blocked = s.engine().pending();
+    q.notify_one();
+  });
+  s.run();
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(pending_while_blocked, 0u);
+  EXPECT_EQ(s.now(), 5_us);
+}
+
+TEST(DeadlineAfterTest, NonPositiveMeansForeverAndLargeTimeoutsSaturate) {
+  EXPECT_EQ(deadline_after(5_us, SimTime::zero()), SimTime::max());
+  EXPECT_EQ(deadline_after(5_us, SimTime::nanoseconds(-1)), SimTime::max());
+  EXPECT_EQ(deadline_after(5_us, SimTime::max()), SimTime::max());
+  EXPECT_EQ(deadline_after(5_us, SimTime::max() - 5_us), SimTime::max());
+  EXPECT_EQ(deadline_after(5_us, SimTime::max() - 6_us),
+            SimTime::max() - 1_us);
+  EXPECT_EQ(deadline_after(5_us, 3_us), 8_us);
+  EXPECT_EQ(deadline_after(SimTime::zero(), SimTime::max()), SimTime::max());
 }
 
 TEST(SemaphoreTest, AcquireReleaseCounts) {
@@ -273,6 +325,47 @@ TEST(ChannelTest, MoveOnlyPayload) {
   s.spawn("tx", [&] { ch.send(std::make_unique<int>(77)); });
   s.run();
   EXPECT_EQ(result, 77);
+}
+
+TEST(ChannelTest, RecvForMaxTimeoutWaitsForeverThenDelivers) {
+  Simulation s;
+  Channel<int> ch(&s, 0);
+  std::optional<int> got;
+  bool ok = false;
+  SimTime when;
+  s.spawn("consumer", [&] {
+    s.delay(5_us);
+    auto r = ch.recv_for(SimTime::max());
+    ok = r.ok();
+    if (ok) got = r.value();
+    when = s.now();
+  });
+  s.spawn("producer", [&] {
+    s.delay(100_us);
+    ch.send(7);
+  });
+  s.run();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(got, 7);
+  EXPECT_EQ(when, 100_us);
+}
+
+TEST(ChannelTest, RecvForNegativeTimeoutWaitsForever) {
+  Simulation s;
+  Channel<int> ch(&s, 0);
+  std::optional<int> got;
+  s.spawn("consumer", [&] {
+    s.delay(5_us);
+    auto r = ch.recv_for(SimTime::nanoseconds(-1));
+    if (r.ok()) got = r.value();
+  });
+  s.spawn("producer", [&] {
+    s.delay(100_us);
+    ch.send(9);
+  });
+  s.run();
+  EXPECT_EQ(got, 9);
+  EXPECT_EQ(s.now(), 100_us);
 }
 
 }  // namespace

@@ -177,6 +177,35 @@ TEST(TcpTest, SendBufferBackpressure) {
   EXPECT_LT(first_sends_done, 1_ms);
 }
 
+TEST(TcpTest, MaxTimeoutSendAndRecvWaitForever) {
+  // send_for/recv_exact_for(SimTime::max()) at t > 0 saturate to "wait
+  // forever": the sender blocks on the full socket buffer and the reader
+  // on an empty one until data flows, with no overflow and no timeout.
+  Fixture f;
+  TcpOptions opt;
+  opt.send_buffer = 8 * 1024;
+  opt.recv_buffer = 8 * 1024;
+  SimTime sends_done;
+  bool send_ok = false;
+  std::uint64_t got = 0;
+  f.s.spawn("app", [&] {
+    auto [c, srv] = TcpStack::connect(f.stack0, f.stack1, opt);
+    f.s.spawn("rx", [&, srv] {
+      auto first = srv->recv_exact_for(8 * 1024, SimTime::max());
+      f.s.delay(50_ms);  // lazy reader forces the window shut
+      auto rest = srv->recv_exact_payload_for(56 * 1024, SimTime::max());
+      if (first.ok() && rest.ok()) got = first.value() + rest.value().size();
+    });
+    f.s.delay(5_us);
+    send_ok = c->send_for(64 * 1024, SimTime::max()).ok();
+    sends_done = f.s.now();
+  });
+  f.s.run();
+  EXPECT_TRUE(send_ok);
+  EXPECT_EQ(got, 64u * 1024);
+  EXPECT_GE(sends_done, 50_ms);
+}
+
 TEST(TcpTest, CloseDeliversEofAfterData) {
   Fixture f;
   std::uint64_t got = 0;
