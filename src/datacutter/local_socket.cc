@@ -39,6 +39,7 @@ sv::Result<void> LocalSocket::send_for(net::Message m, SimTime /*timeout*/) {
   m.sent_at = sim_->now();
   sim_->delay(kHandoffCost);
   m.delivered_at = sim_->now();
+  sim_->obs().note_delivery(m.sent_at, m.delivered_at);
   out_->send(std::move(m));
   note_sent(bytes);
   obs_span(start, "send", bytes);

@@ -114,6 +114,7 @@ PacedResult run_paced_updates(const VizWorkloadConfig& cfg, double target_ups,
   result.events_fired = s.events_fired();
   result.trace_digest = s.engine().trace_digest();
   result.end_time = s.now();
+  result.delivery_digest = s.obs().delivery_digest();
 
   if (static_cast<int>(completions.size()) > warmup + 1) {
     const auto span = completions.back() -

@@ -68,6 +68,8 @@ struct PacedResult {
   std::uint64_t events_fired = 0;
   std::uint64_t trace_digest = 0;
   SimTime end_time;
+  /// obs::Hub::delivery_digest(): the model's message timeline alone.
+  std::uint64_t delivery_digest = 0;
 };
 [[nodiscard]] PacedResult run_paced_updates(const VizWorkloadConfig& cfg,
                                             double target_ups,

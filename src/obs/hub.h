@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -55,10 +56,34 @@ struct Hub {
     for (SnapshotSink* sink : sinks_) sink->on_snapshot(snap);
   }
 
+  /// Folds one delivered message's (sent_at, delivered_at) into the
+  /// delivery digest, in delivery order. Every layer that stamps
+  /// delivered_at reports here. Unlike sim::Engine::trace_digest(), which
+  /// hashes every fired event, this hashes only the model's message
+  /// timeline: a change in how the simulator schedules its own work leaves
+  /// it alone, while any message that moves in time or order changes it
+  /// (tests/integration/model_equivalence_test.cc).
+  void note_delivery(SimTime sent_at, SimTime delivered_at) {
+    ++deliveries_;
+    for (const std::int64_t v : {sent_at.ns(), delivered_at.ns()}) {
+      auto bits = static_cast<std::uint64_t>(v);
+      for (int i = 0; i < 8; ++i, bits >>= 8) {
+        delivery_digest_ = (delivery_digest_ ^ (bits & 0xffU)) *
+                           1099511628211ULL;  // FNV-1a prime
+      }
+    }
+  }
+  [[nodiscard]] std::uint64_t deliveries() const { return deliveries_; }
+  [[nodiscard]] std::uint64_t delivery_digest() const {
+    return delivery_digest_;
+  }
+
  private:
   std::vector<SnapshotSink*> sinks_;
   std::vector<std::unique_ptr<SnapshotSink>> owned_sinks_;
   std::uint64_t publish_seq_ = 0;
+  std::uint64_t deliveries_ = 0;
+  std::uint64_t delivery_digest_ = 14695981039346656037ULL;  // FNV-1a basis
 };
 
 }  // namespace sv::obs

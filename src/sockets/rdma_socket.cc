@@ -116,6 +116,7 @@ void RdmaPushSocket::PairState::demux_loop(int i) {
           net::Message m = std::move(peer.outgoing_meta.front());
           peer.outgoing_meta.pop_front();
           m.delivered_at = sim->now();
+          sim->obs().note_delivery(m.sent_at, m.delivered_at);
           if (!me.delivered.closed()) {
             me.delivered.send(std::move(m));
           }

@@ -117,6 +117,7 @@ Result<std::optional<net::Message>> DetailedTcpSocket::recv_for(
   attach_body(m, drained.value(), kHeaderBytes);
   note_copy("tcp.kernel_to_user", m.bytes);
   m.delivered_at = conn_->stack().sim().now();
+  conn_->stack().sim().obs().note_delivery(m.sent_at, m.delivered_at);
   note_received(m.bytes);
   obs_span(start, "recv", m.bytes);
   return std::optional<net::Message>(std::move(m));

@@ -114,6 +114,7 @@ LoadBalanceResult run_load_balance(const LoadBalanceConfig& cfg) {
   result.exec_time = s.now();
   result.events_fired = s.events_fired();
   result.trace_digest = s.engine().trace_digest();
+  result.delivery_digest = s.obs().delivery_digest();
   return result;
 }
 

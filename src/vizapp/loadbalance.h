@@ -58,6 +58,8 @@ struct LoadBalanceResult {
   /// tests/integration/digest_pins_test.cc).
   std::uint64_t events_fired = 0;
   std::uint64_t trace_digest = 0;
+  /// obs::Hub::delivery_digest(): the model's message timeline alone.
+  std::uint64_t delivery_digest = 0;
 };
 
 /// Runs the experiment in its own simulation and returns the measurements.

@@ -1,7 +1,8 @@
 // Golden event-trace digest pins (DESIGN.md §8, §12).
 //
 // Each pinned workload is a scaled-down seeded run of a paper experiment
-// (fig04 ping-pong, fig08 paced updates, fig10 load balancing). Its
+// (fig04 ping-pong, fig08 paced updates, fig10 load balancing) or of the
+// fat-tree open loop (integration/pinned_scenarios.h). Its
 // (events_fired, trace_digest) pair was captured on the original
 // std::priority_queue engine *before* the timing-wheel queue swap and
 // committed to tests/integration/digest_pins.txt. The test recomputes every
@@ -24,12 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "harness/openloop.h"
-#include "harness/vizbench.h"
-#include "net/cluster.h"
-#include "sim/simulation.h"
-#include "sockets/factory.h"
-#include "vizapp/loadbalance.h"
+#include "integration/pinned_scenarios.h"
 
 #ifndef SV_DIGEST_PIN_FILE
 #error "SV_DIGEST_PIN_FILE must point at tests/integration/digest_pins.txt"
@@ -37,8 +33,6 @@
 
 namespace sv::harness {
 namespace {
-
-using namespace sv::literals;
 
 bool g_update_pins = false;
 
@@ -106,138 +100,52 @@ void expect_pin(const std::string& name, const std::string& variant,
          "executes the pinned event sequence";
 }
 
-/// Fig 4-style seeded ping-pong on the detailed protocol machinery.
-PinnedRun fig04_pingpong(sim::QueueKind kind, net::Transport tr) {
-  sim::Simulation s(kind);
-  net::Cluster cluster(&s, 2);
-  sockets::SocketFactory factory(&s, &cluster, sockets::Fidelity::kDetailed);
-  s.spawn("app", [&] {
-    auto [a, b] = factory.connect(0, 1, tr);
-    s.spawn("pong", [&, b = std::move(b)]() mutable {
-      while (auto m = b->recv()) b->send(*m);
-    });
-    for (int i = 0; i < 20; ++i) {
-      a->send(net::Message{.bytes = 4096});
-      a->recv();
-    }
-    a->close_send();
-  });
-  s.run();
-  return {s.events_fired(), s.engine().trace_digest()};
-}
-
-/// Fig 8-style paced complete updates with partial-update probes.
-PinnedRun fig08_paced(sim::QueueKind kind, net::Transport tr) {
-  VizWorkloadConfig cfg;
-  cfg.transport = tr;
-  cfg.image_bytes = 2_MiB;
-  cfg.block_bytes = 128_KiB;
-  cfg.cluster_nodes = 16;
-  cfg.seed = 42;
-  cfg.queue_kind = kind;
-  const auto r = run_paced_updates(cfg, 4.0, 4, 1);
-  return {r.events_fired, r.trace_digest};
-}
-
-/// Fig 10-style round-robin load balancing with a statically slow worker.
-PinnedRun fig10_balance(sim::QueueKind kind, net::Transport tr,
-                        std::uint64_t block_bytes) {
-  viz::LoadBalanceConfig cfg;
-  cfg.transport = tr;
-  cfg.total_bytes = 1_MiB;
-  cfg.block_bytes = block_bytes;
-  cfg.policy = dc::SchedPolicy::kRoundRobin;
-  cfg.slow_worker = 1;
-  cfg.slow_factor = 4;
-  cfg.compute = PerByteCost::nanos_per_byte(18);
-  cfg.seed = 7;
-  cfg.queue_kind = kind;
-  const auto r = viz::run_load_balance(cfg);
-  return {r.events_fired, r.trace_digest};
-}
-
-/// Scale pin: a 128-node open-loop run over a k=8 fat-tree with faults,
-/// churn, and incast redirection all active (DESIGN.md §13). Much smaller
-/// than the scale_replay_test battery, but through the identical stack, so
-/// cross-commit drift in topology routing, mux batching, or arrival math
-/// trips this pin mechanically.
-PinnedRun scale_openloop(sim::QueueKind kind, net::Transport tr) {
-  OpenLoopConfig cfg;
-  cfg.transport = tr;
-  cfg.cluster_nodes = 128;
-  cfg.topology = net::TopologySpec::fat_tree(8, 2);
-  cfg.seed = 404;
-  cfg.clients = 128'000;
-  cfg.arrivals.kind = ArrivalKind::kMmpp;
-  cfg.arrivals.rate_per_sec = 1'000.0;
-  cfg.update_bytes = 2048;
-  cfg.fanout = 4;
-  cfg.incast_fraction = 0.1;
-  cfg.hot_node = 5;
-  cfg.churn_per_sec = 30.0;
-  cfg.duration = SimTime::milliseconds(10);
-  cfg.faults.all_links.loss = 0.01;
-  cfg.faults.all_links.max_jitter = SimTime::microseconds(20);
-  cfg.queue_kind = kind;
-  const auto r = run_open_loop(cfg);
-  return {r.events_fired, r.trace_digest};
-}
-
 /// Runs `make_run` on every queue implementation and checks each against
 /// the same pin.
-template <typename F>
-void check_all_queues(const std::string& name, F make_run) {
-  expect_pin(name, "timing_wheel", make_run(sim::QueueKind::kTimingWheel));
-  expect_pin(name, "reference_heap",
-             make_run(sim::QueueKind::kReferenceHeap));
+void check_all_queues(const std::string& name) {
+  for (const pinned::Scenario& sc : pinned::all_scenarios()) {
+    if (sc.name != name) continue;
+    for (const auto& [kind, variant] :
+         {std::pair{sim::QueueKind::kTimingWheel, "timing_wheel"},
+          std::pair{sim::QueueKind::kReferenceHeap, "reference_heap"}}) {
+      const pinned::ScenarioRun r = sc.run(kind, /*metrics_path=*/"");
+      expect_pin(name, variant, {r.events, r.trace_digest});
+    }
+    return;
+  }
+  FAIL() << "no scenario named " << name;
 }
 
 TEST(DigestPins, Fig04PingPongTcp) {
-  check_all_queues("fig04_pingpong_tcp", [](sim::QueueKind k) {
-    return fig04_pingpong(k, net::Transport::kKernelTcp);
-  });
+  check_all_queues("fig04_pingpong_tcp");
 }
 
 TEST(DigestPins, Fig04PingPongSocketVia) {
-  check_all_queues("fig04_pingpong_svia", [](sim::QueueKind k) {
-    return fig04_pingpong(k, net::Transport::kSocketVia);
-  });
+  check_all_queues("fig04_pingpong_svia");
 }
 
 TEST(DigestPins, Fig08PacedUpdatesTcp) {
-  check_all_queues("fig08_paced_tcp", [](sim::QueueKind k) {
-    return fig08_paced(k, net::Transport::kKernelTcp);
-  });
+  check_all_queues("fig08_paced_tcp");
 }
 
 TEST(DigestPins, Fig08PacedUpdatesSocketVia) {
-  check_all_queues("fig08_paced_svia", [](sim::QueueKind k) {
-    return fig08_paced(k, net::Transport::kSocketVia);
-  });
+  check_all_queues("fig08_paced_svia");
 }
 
 TEST(DigestPins, Fig10BalanceTcp) {
-  check_all_queues("fig10_balance_tcp", [](sim::QueueKind k) {
-    return fig10_balance(k, net::Transport::kKernelTcp, 16 * 1024);
-  });
+  check_all_queues("fig10_balance_tcp");
 }
 
 TEST(DigestPins, Fig10BalanceSocketVia) {
-  check_all_queues("fig10_balance_svia", [](sim::QueueKind k) {
-    return fig10_balance(k, net::Transport::kSocketVia, 2 * 1024);
-  });
+  check_all_queues("fig10_balance_svia");
 }
 
 TEST(DigestPins, ScaleOpenLoopSocketVia) {
-  check_all_queues("scale_openloop_svia", [](sim::QueueKind k) {
-    return scale_openloop(k, net::Transport::kSocketVia);
-  });
+  check_all_queues("scale_openloop_svia");
 }
 
 TEST(DigestPins, ScaleOpenLoopTcp) {
-  check_all_queues("scale_openloop_tcp", [](sim::QueueKind k) {
-    return scale_openloop(k, net::Transport::kKernelTcp);
-  });
+  check_all_queues("scale_openloop_tcp");
 }
 
 }  // namespace
