@@ -261,20 +261,20 @@ SimTime Topology::path_latency(int src, int dst) const {
 }
 
 void Topology::traverse(int src, int dst, std::uint64_t bytes) {
-  const Path p = route(src, dst);
-  for (std::uint32_t i = 0; i < p.hops; ++i) {
-    Link& l = *links_[p.link[i]];
-    const SimTime t0 = sim_->now();
-    l.res->acquire();
-    const SimTime waited = sim_->now() - t0;
-    const SimTime hold = l.per_byte.for_bytes(bytes);
-    if (hold > SimTime::zero()) sim_->delay(hold);
-    l.res->release();
-    l.c_frames->inc();
-    l.c_bytes->inc(bytes);
-    l.c_busy_ns->inc(static_cast<std::uint64_t>(hold.ns()));
-    l.c_wait_ns->inc(static_cast<std::uint64_t>(waited.ns()));
-  }
+  Walk walk;
+  sim_->await("traverse", [&](auto done) {
+    traverse(walk, src, dst, bytes, std::move(done));
+  });
+}
+
+void Topology::finish_hop(Walk& walk, Link& link) {
+  const SimTime hold = link.per_byte.for_bytes(walk.bytes);
+  link.res->release();
+  link.c_frames->inc();
+  link.c_bytes->inc(walk.bytes);
+  link.c_busy_ns->inc(static_cast<std::uint64_t>(hold.ns()));
+  link.c_wait_ns->inc(static_cast<std::uint64_t>(walk.waited.ns()));
+  ++walk.hop;
 }
 
 double Topology::edge_uplink_bytes_per_sec(int e) const {

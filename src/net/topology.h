@@ -33,7 +33,10 @@
 //
 // Layering: Topology lives below Cluster (cluster.h hands each Node a
 // pointer) and is consulted by net::Pipe's wire stage, which traverses the
-// routed path *before* charging the destination host's link_in.
+// routed path *before* charging the destination host's link_in. The wire
+// stage is an event-driven state machine, so traversal is a callback form
+// over caller-owned progress (Walk); a blocking wrapper serves simulated
+// processes (benchmark probes, tests).
 #pragma once
 
 #include <cstdint>
@@ -145,10 +148,30 @@ class Topology {
   /// Extra propagation latency of the routed path (hops * hop_latency).
   [[nodiscard]] SimTime path_latency(int src, int dst) const;
 
+  /// Progress of one frame over its routed path, for the callback form of
+  /// traverse(). The caller owns it and keeps it alive until `then` runs;
+  /// net::Pipe's wire stage holds one, since a pipe crosses the fabric one
+  /// frame at a time.
+  struct Walk {
+    Path path;
+    std::uint32_t hop = 0;
+    std::uint64_t bytes = 0;
+    SimTime requested{};  // when the current hop asked for its link
+    SimTime waited{};     // how long the current hop queued for it
+  };
+
   /// Charges every link on route(src, dst), in order: FIFO-acquires the
-  /// link, holds it for the frame's serialization time, releases. Must run
-  /// inside a simulated process (net::Pipe's wire stage). This is where
-  /// uplink contention and incast queueing physically happen.
+  /// link, holds it for the frame's serialization time, releases — then
+  /// runs `then`. `then` runs inline when nothing had to wait (no hops, or
+  /// free links with zero hold), otherwise from the event that ends the
+  /// last hop. This is where uplink contention and incast queueing
+  /// physically happen. `then` rides by value inside the per-hop handlers,
+  /// so keep it small (a pointer or two).
+  template <typename F>
+  void traverse(Walk& walk, int src, int dst, std::uint64_t bytes, F then);
+
+  /// Blocking form for a simulated process: the callback form, with the
+  /// process suspended until the last hop is done (the same events).
   void traverse(int src, int dst, std::uint64_t bytes);
 
   /// Aggregate uplink bandwidth leaving edge switch `e`, in bytes/second
@@ -160,6 +183,10 @@ class Topology {
  private:
   void add_link(std::string name, int from_sw, int to_sw,
                 PerByteCost per_byte);
+  template <typename F>
+  void next_hop(Walk& walk, F then);
+  /// Releases the current hop's link and books its counters.
+  void finish_hop(Walk& walk, Link& link);
   void build_fat_tree();
   void build_edge_core();
 
@@ -180,5 +207,38 @@ class Topology {
   std::vector<std::uint32_t> agg_up_;     // agg→core
   std::vector<std::uint32_t> agg_down_;   // core→agg
 };
+
+template <typename F>
+void Topology::traverse(Walk& walk, int src, int dst, std::uint64_t bytes,
+                        F then) {
+  walk.path = route(src, dst);
+  walk.hop = 0;
+  walk.bytes = bytes;
+  next_hop(walk, std::move(then));
+}
+
+template <typename F>
+void Topology::next_hop(Walk& walk, F then) {
+  if (walk.hop == walk.path.hops) {
+    then();
+    return;
+  }
+  Link& l = *links_[walk.path.link[walk.hop]];
+  walk.requested = sim_->now();
+  l.res->acquire([this, &walk, &l, then = std::move(then)]() mutable {
+    walk.waited = sim_->now() - walk.requested;
+    const SimTime hold = l.per_byte.for_bytes(walk.bytes);
+    if (hold > SimTime::zero()) {
+      sim_->engine().schedule(
+          hold, [this, &walk, &l, then = std::move(then)]() mutable {
+            finish_hop(walk, l);
+            next_hop(walk, std::move(then));
+          });
+      return;
+    }
+    finish_hop(walk, l);
+    next_hop(walk, std::move(then));
+  });
+}
 
 }  // namespace sv::net

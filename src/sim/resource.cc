@@ -22,29 +22,27 @@ void Resource::account() {
 }
 
 void Resource::acquire() {
-  Process* p = sim_->current();
-  if (p == nullptr) {
-    throw std::logic_error("Resource[" + name_ + "]::acquire outside process");
-  }
-  if (in_use_ < capacity_ && waiters_.empty()) {
-    account();
-    ++in_use_;
-    SV_DCHECK(in_use_ <= capacity_,
-              "Resource[" + name_ + "]: holders exceed capacity");
-    return;
-  }
-  waiters_.push_back(p);
-  sim_->block_current(name_);
-  // Direct handoff: release() transferred the unit to us before waking, so
-  // in_use_ already counts this holder. Nothing to re-check.
+  sim_->await(name_, [this](InlineHandler done) { acquire(std::move(done)); });
+  // Direct handoff: release() transferred the unit to us before resuming
+  // us, so in_use_ already counts this holder. Nothing to re-check.
   SV_DCHECK(in_use_ > 0 && in_use_ <= capacity_,
             "Resource[" + name_ + "]: handoff bookkeeping corrupt");
+}
+
+void Resource::acquire(InlineHandler then) {
+  if (try_acquire()) {
+    then();
+    return;
+  }
+  waiters_.push_back(std::move(then));
 }
 
 bool Resource::try_acquire() {
   if (in_use_ < capacity_ && waiters_.empty()) {
     account();
     ++in_use_;
+    SV_DCHECK(in_use_ <= capacity_,
+              "Resource[" + name_ + "]: holders exceed capacity");
     return true;
   }
   return false;
@@ -56,9 +54,9 @@ void Resource::release() {
             "Resource[" + name_ + "]::release with none held (double release?)");
   if (!waiters_.empty()) {
     // Transfer the unit directly to the oldest waiter; in_use_ is unchanged.
-    Process* next = waiters_.front();
+    InlineHandler next = std::move(waiters_.front());
     waiters_.pop_front();
-    sim_->wake(*next);
+    sim_->engine().schedule(SimTime::zero(), std::move(next));
     return;
   }
   account();
@@ -66,9 +64,7 @@ void Resource::release() {
 }
 
 void Resource::use(SimTime hold) {
-  acquire();
-  sim_->delay(hold);
-  release();
+  sim_->await(name_, [this, hold](auto done) { use(hold, std::move(done)); });
 }
 
 std::int64_t Resource::busy_ns() const {

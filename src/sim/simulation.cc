@@ -48,6 +48,12 @@ void Simulation::resume(Process& p) {
   }
 }
 
+void Simulation::resume_blocked(Process& p) {
+  if (shutting_down_ || !p.blocked_ || p.finished_) return;
+  p.blocked_ = false;
+  resume(p);
+}
+
 void Simulation::check_current_killed() {
   if (shutting_down_) throw ProcessKilled{};
 }

@@ -17,19 +17,21 @@
 //                        framing header included), and blocks in
 //                        Pipe::send — so fabric backpressure throttles
 //                        the mux without a thread per connection.
-//   sink process (1/pipe) receives aggregates at the destination, splits
-//                        them, and hands each record to the delivery
-//                        callback with its end-to-end enqueue→delivery
-//                        latency observable.
+//   sink                 each pipe's delivery callback: splits an
+//                        aggregate at the destination and hands each
+//                        record to the delivery callback with its
+//                        end-to-end enqueue→delivery latency observable.
+//                        Event-driven, like the pipe stages it ends.
 //
 // The interest-set protocol (a deque of destination ids plus a per-lane
 // "interested" flag) makes scheduling deterministic: destinations are
 // served in the order they became ready, and a lane re-arms itself at the
 // tail only while it still holds queued records.
 //
-// Threading: process count is O(destinations), not O(connections) — the
-// scaling property the open-loop harness (src/harness/openloop.h) relies
-// on to model millions of clients.
+// Threading: one simulated process (the sender) per SendMux, whatever the
+// number of destinations or connections — the scaling property the
+// open-loop harness (src/harness/openloop.h) relies on to model millions
+// of clients.
 #pragma once
 
 #include <cstdint>
@@ -85,7 +87,8 @@ class SendMux {
  public:
   /// Called at the destination for every delivered record. `delivered_at`
   /// minus `rec.enqueued` is the client-visible update latency (queueing +
-  /// aggregation + fabric).
+  /// aggregation + fabric). Runs from an engine event, not a process, so
+  /// it must not block.
   using DeliveryFn =
       std::function<void(int dst_node, const MuxRecord& rec,
                          SimTime delivered_at)>;
@@ -136,7 +139,7 @@ class SendMux {
   std::uint64_t flush_registrations();
 
   /// Stops intake; the sender process drains every lane, closes the pipes
-  /// (sinks exit after the last delivery), then exits. Idempotent.
+  /// (their last aggregates still deliver), then exits. Idempotent.
   void shutdown();
 
   [[nodiscard]] int node() const;
@@ -154,11 +157,10 @@ class SendMux {
     std::deque<MuxRecord> q;
     std::uint64_t queued_bytes = 0;
     bool interested = false;
-    bool sink_spawned = false;
   };
 
-  /// Mutable state co-owned by the sender/sink processes (Pipe-style), so
-  /// the SendMux handle may be destroyed while batches are in flight.
+  /// Mutable state co-owned by the sender process (Pipe-style), so the
+  /// SendMux handle may be destroyed while batches are in flight.
   struct State : std::enable_shared_from_this<State> {
     State(sim::Simulation* sim_in, net::Cluster* cluster_in, int node_in,
           SendMuxConfig cfg_in, DeliveryFn on_delivery_in);
@@ -166,7 +168,8 @@ class SendMux {
     Lane& lane(int dst);
     void arm(int dst, Lane& l);
     void sender_loop();
-    void sink_loop(int dst);
+    /// Delivery callback of the lane to `dst`: one aggregate arrived.
+    void sink(int dst, net::Message m);
 
     sim::Simulation* sim;
     net::Cluster* cluster;
