@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -40,6 +39,11 @@ class WaitQueue {
  public:
   explicit WaitQueue(Simulation* sim, std::string name = "waitq")
       : sim_(sim), name_(std::move(name)) {}
+  /// Processes still waiting stay blocked; a timed waiter still times out.
+  ~WaitQueue();
+
+  WaitQueue(const WaitQueue&) = delete;
+  WaitQueue& operator=(const WaitQueue&) = delete;
 
   /// Blocks the calling process until notified.
   void wait() { (void)wait_until(SimTime::max()); }
@@ -47,7 +51,8 @@ class WaitQueue {
   /// Returns true if notified, false on timeout. SimTime::max() waits
   /// forever and schedules no timer; a deadline at or before now() returns
   /// false at once, without blocking or scheduling anything; any other
-  /// deadline schedules exactly one timer event, at `deadline`.
+  /// deadline schedules exactly one timer event, at `deadline`, which a
+  /// notify cancels.
   bool wait_until(SimTime deadline);
 
   /// Wakes the oldest waiter; returns false if none.
@@ -55,21 +60,29 @@ class WaitQueue {
   /// Wakes all current waiters.
   void notify_all();
 
-  [[nodiscard]] std::size_t waiter_count() const;
-  [[nodiscard]] bool has_waiters() const { return waiter_count() > 0; }
+  [[nodiscard]] std::size_t waiter_count() const { return count_; }
+  [[nodiscard]] bool has_waiters() const { return count_ > 0; }
 
  private:
+  /// One waiter. It lives on the waiting process's stack for the duration
+  /// of wait_until() and is linked into the queue while it waits, so a
+  /// wait allocates nothing.
   struct Entry {
     Process* proc = nullptr;
+    WaitQueue* queue = nullptr;  // null once notified, timed out or orphaned
+    Entry* prev = nullptr;
+    Entry* next = nullptr;
+    std::uint64_t timer = 0;  // pending timeout event id; 0 = none
     bool notified = false;
-    bool done = false;  // true once notified or timed out
   };
 
-  void scrub();
+  void unlink(Entry* e);
 
   Simulation* sim_;
   std::string name_;
-  std::deque<std::shared_ptr<Entry>> entries_;
+  Entry* head_ = nullptr;
+  Entry* tail_ = nullptr;
+  std::size_t count_ = 0;
 };
 
 /// Counting semaphore with FIFO handoff.

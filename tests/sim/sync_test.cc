@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,6 +90,44 @@ TEST(WaitQueueTest, WaitForNotifiedBeforeTimeout) {
   s.run();
   EXPECT_TRUE(notified);
   EXPECT_EQ(when, 20_us);
+}
+
+TEST(WaitQueueTest, NotifyCancelsTheTimerOfATimedWait) {
+  Simulation s;
+  WaitQueue q(&s);
+  bool notified = false;
+  std::size_t pending_after_notify = 1;
+  s.spawn("p", [&] { notified = q.wait_until(s.now() + 1_s); });
+  s.spawn("n", [&] {
+    s.delay(5_us);
+    q.notify_one();
+    // Only the waiter's wake-up is left; its timer is gone.
+    pending_after_notify = s.engine().pending() - 1;
+  });
+  s.run();
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(pending_after_notify, 0u);
+  EXPECT_EQ(s.engine().pending(), 0u);
+  EXPECT_EQ(s.now(), 5_us);  // the 1 s deadline no longer holds run() open
+  EXPECT_EQ(q.waiter_count(), 0u);
+}
+
+TEST(WaitQueueTest, DestroyedQueueStillTimesOutItsWaiter) {
+  Simulation s;
+  auto q = std::make_unique<WaitQueue>(&s);
+  bool notified = true;
+  SimTime when;
+  s.spawn("p", [&] {
+    notified = q->wait_until(s.now() + 10_us);
+    when = s.now();
+  });
+  s.spawn("killer", [&] {
+    s.delay(1_us);
+    q.reset();
+  });
+  s.run();
+  EXPECT_FALSE(notified);
+  EXPECT_EQ(when, 10_us);
 }
 
 TEST(WaitQueueTest, TimedOutEntrySkippedByLaterNotify) {

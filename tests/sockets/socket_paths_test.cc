@@ -4,7 +4,8 @@
 // stream through send_for()/recv_for() with a zero timeout ("wait
 // forever") or a SimTime::max() timeout (saturates to forever, no timer),
 // under both copy-cost ablation scales. A finite timeout that never trips
-// adds timer events but must not move any message.
+// adds timer events but must not move any message, and since a notified
+// wait cancels its timer, it must not lengthen the run either.
 #include "sockets/socket.h"
 
 #include <gtest/gtest.h>
@@ -199,6 +200,7 @@ TEST_P(SocketPathAgreementTest, FiniteTimeoutThatNeverTripsMovesNoMessage) {
   const RunResult timed = run_stream(backend, scale, Api::kFiniteTimeout);
   ASSERT_EQ(blocking.stamps.size(), 4u);
   EXPECT_EQ(timed.stamps, blocking.stamps);
+  EXPECT_EQ(timed.end, blocking.end);
 }
 
 INSTANTIATE_TEST_SUITE_P(
