@@ -27,10 +27,13 @@ constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 std::uint64_t fnv1a(std::uint64_t h, const sv::mem::Payload& data) {
-  for (std::uint64_t i = 0; i < data.size(); ++i) {
-    h ^= static_cast<std::uint64_t>(data.read_byte(i));
-    h *= kFnvPrime;
-  }
+  data.for_each_span([&h](std::uint64_t, const std::byte* p, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      h ^= static_cast<std::uint64_t>(p[i]);
+      h *= kFnvPrime;
+    }
+    return true;
+  });
   return h;
 }
 

@@ -4,6 +4,7 @@
 #include <any>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -50,6 +51,17 @@ struct DataBuffer {
   /// Single-byte guarded read.
   [[nodiscard]] std::byte read_byte(std::uint64_t i) const {
     return *read_at(i, 1);
+  }
+
+  /// Reads the whole payload in one linear walk (mem::Payload::
+  /// for_each_span), under the same guards as read_at(): the buffer must
+  /// be materialized and its payload must lie within the logical extent.
+  template <typename F>
+  bool for_each_span(F f) const {
+    SV_ASSERT(materialized(),
+              "DataBuffer: payload read on a non-materialized buffer");
+    SV_ASSERT(payload.size() <= bytes, "DataBuffer: read past logical extent");
+    return payload.for_each_span(std::move(f));
   }
 };
 

@@ -85,7 +85,7 @@ const std::byte* Payload::contiguous_at(std::uint64_t offset,
       skip -= s.len;
       continue;
     }
-    SV_ASSERT(s.bytes != nullptr, "Payload: byte read on a virtual span");
+    check_backed(s);
     SV_ASSERT(len <= s.len - skip,
               "Payload: contiguous view straddles spans (use copy_to)");
     return s.bytes->data() + s.offset + skip;
@@ -119,10 +119,30 @@ bool Payload::content_equals(const Payload& other) const {
   if (size() != other.size()) return false;
   if (empty()) return true;
   if (!materialized() || !other.materialized()) return false;
-  for (std::uint64_t i = 0; i < size(); ++i) {
-    if (read_byte(i) != other.read_byte(i)) return false;
-  }
-  return true;
+  // Walk both chains at once, comparing the overlap of the current spans,
+  // so span boundaries need not line up.
+  auto theirs = other.spans_.begin();
+  std::uint64_t skip = 0;  // bytes of *theirs already compared
+  return for_each_span([&](std::uint64_t /*pos*/, const std::byte* data,
+                           std::uint64_t n) {
+    while (n > 0) {
+      const std::uint64_t take = std::min(n, theirs->len - skip);
+      const std::byte* other_data = theirs->bytes->data() + theirs->offset;
+      if (!std::equal(data, data + take, other_data + skip)) return false;
+      data += take;
+      n -= take;
+      skip += take;
+      if (skip == theirs->len) {
+        ++theirs;
+        skip = 0;
+      }
+    }
+    return true;
+  });
+}
+
+void Payload::check_backed(const Span& s) {
+  SV_ASSERT(s.bytes != nullptr, "Payload: byte read on a virtual span");
 }
 
 void Payload::append_span(Span s) {

@@ -72,8 +72,17 @@ class Payload {
   /// Zero-copy concatenation: `this` followed by `tail`. Shares storage.
   [[nodiscard]] Payload concat(const Payload& tail) const;
 
-  /// Bounds-guarded single-byte read; SV_ASSERT on virtual spans.
+  /// Bounds-guarded single-byte read; SV_ASSERT on virtual spans. Walks
+  /// the span chain, so reading every byte this way costs O(bytes x
+  /// spans); use for_each_span() for that.
   [[nodiscard]] std::byte read_byte(std::uint64_t i) const;
+
+  /// Reads the whole payload in one linear walk: calls
+  /// `f(pos, data, n)` for each span in order, where `data` holds the n
+  /// bytes at payload offset `pos`. Stops as soon as `f` returns false,
+  /// and returns false then. SV_ASSERT on virtual spans, like read_byte().
+  template <typename F>
+  bool for_each_span(F f) const;
 
   /// Contiguous view of [offset, offset+len): valid only when the range
   /// falls inside one backed span (SV_ASSERT otherwise). For ranges that
@@ -98,10 +107,22 @@ class Payload {
   };
 
   void append_span(Span s);
+  static void check_backed(const Span& s);
 
   std::vector<Span> spans_;
   std::uint64_t size_ = 0;
 };
+
+template <typename F>
+bool Payload::for_each_span(F f) const {
+  std::uint64_t pos = 0;
+  for (const Span& s : spans_) {
+    check_backed(s);
+    if (!f(pos, s.bytes->data() + s.offset, s.len)) return false;
+    pos += s.len;
+  }
+  return true;
+}
 
 /// FIFO byte-stream assembly of Payload chains: the TCP stack pushes
 /// payloads into its send stream and pops MSS-sized slices for segments;

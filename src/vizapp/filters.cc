@@ -57,12 +57,15 @@ void VizFilter::process(dc::FilterContext& ctx) {
       ++payloads_verified_;
       // Guarded reads: going past the written extent is a caught contract
       // violation rather than UB (see DataBuffer::read_at).
-      for (std::uint64_t j = 0; j < b->payload.size(); ++j) {
-        if (b->read_byte(j) != RepoFilter::pixel(b->tag, j)) {
-          ++payload_mismatches_;
-          break;
-        }
-      }
+      const std::uint64_t tag = b->tag;
+      const bool intact = b->for_each_span(
+          [tag](std::uint64_t pos, const std::byte* data, std::uint64_t n) {
+            for (std::uint64_t k = 0; k < n; ++k) {
+              if (data[k] != RepoFilter::pixel(tag, pos + k)) return false;
+            }
+            return true;
+          });
+      if (!intact) ++payload_mismatches_;
     }
     bytes_drawn_ += b->bytes;
     ++buffers_drawn_;

@@ -95,6 +95,73 @@ TEST(PayloadTest, ConcatChainsAndReadsAcrossSpans) {
   EXPECT_FALSE(ab.content_equals(patterned(150, std::byte{1})));
 }
 
+/// A payload of `flat`'s bytes split into separately stored spans at
+/// `cuts` (ascending offsets), plus the flat oracle it must read as.
+Payload chained(const std::vector<std::byte>& flat,
+                const std::vector<std::size_t>& cuts) {
+  Payload out;
+  std::size_t from = 0;
+  for (std::size_t to : cuts) {
+    out = out.concat(Payload::copy_of(flat.data() + from, to - from));
+    from = to;
+  }
+  return out.concat(Payload::copy_of(flat.data() + from, flat.size() - from));
+}
+
+TEST(PayloadTest, MultiSpanPayloadsMatchAFlatOracle) {
+  std::vector<std::byte> flat(4096);
+  for (std::size_t i = 0; i < flat.size(); ++i) {
+    flat[i] = static_cast<std::byte>((i * 131 + 7) & 0xFF);
+  }
+  const Payload whole = Payload::copy_of(flat.data(), flat.size());
+  const Payload a = chained(flat, {100, 1500, 1501, 3000});
+  const Payload b = chained(flat, {7, 2048, 4000});  // other boundaries
+  ASSERT_EQ(a.span_count(), 5u);
+  ASSERT_EQ(b.span_count(), 4u);
+
+  // The span walk reads exactly the oracle's bytes, in order.
+  std::vector<std::byte> walked;
+  EXPECT_TRUE(a.for_each_span(
+      [&](std::uint64_t pos, const std::byte* data, std::uint64_t n) {
+        EXPECT_EQ(pos, walked.size());
+        walked.insert(walked.end(), data, data + n);
+        return true;
+      }));
+  EXPECT_EQ(walked, flat);
+
+  // Equal contents compare equal whatever the span boundaries.
+  EXPECT_TRUE(a.content_equals(whole));
+  EXPECT_TRUE(whole.content_equals(a));
+  EXPECT_TRUE(a.content_equals(b));
+  EXPECT_TRUE(b.content_equals(a));
+
+  // A difference in the last byte of a later span is found.
+  std::vector<std::byte> last = flat;
+  last[2999] ^= std::byte{1};  // last byte of a's fourth span
+  EXPECT_FALSE(a.content_equals(chained(last, {100, 1500, 1501, 3000})));
+  EXPECT_FALSE(b.content_equals(chained(last, {100, 1500, 1501, 3000})));
+  std::vector<std::byte> tail = flat;
+  tail.back() ^= std::byte{0x80};  // very last byte
+  EXPECT_FALSE(a.content_equals(chained(tail, {5, 4095})));
+  EXPECT_FALSE(chained(tail, {5, 4095}).content_equals(whole));
+
+  // A walk that stops early reports it.
+  int calls = 0;
+  EXPECT_FALSE(a.for_each_span([&](std::uint64_t, const std::byte*,
+                                   std::uint64_t) { return ++calls < 2; }));
+  EXPECT_EQ(calls, 2);
+
+  // Virtual spans are still rejected, as by read_byte().
+  const Payload half_virtual = a.concat(Payload::virtual_bytes(16));
+  EXPECT_FALSE(half_virtual.content_equals(
+      whole.concat(Payload::virtual_bytes(16))));
+  EXPECT_THROW((void)half_virtual.for_each_span(
+                   [](std::uint64_t, const std::byte*, std::uint64_t) {
+                     return true;
+                   }),
+               CheckFailure);
+}
+
 TEST(PayloadTest, AdjacentSlicesOfSameStorageMerge) {
   const Payload p = patterned(1000);
   // Reassembling consecutive slices (what the TCP receive stream does)
