@@ -12,6 +12,9 @@
 //   p50/p99 update   enqueue-to-delivery latency percentiles (model output;
 //                    host-independent, reproducible from (config, seed))
 //   trace_digest     determinism evidence for the exact executed schedule
+//   processes        simulated processes (fibers) spawned: a deterministic
+//                    cost counter, so a fiber-count regression fails the
+//                    exact gate on any host
 //
 // Results go to stdout and BENCH_scale_sweep.json at the repo root
 // (bench_record.h format). CI's scale-smoke job runs `--quick` (the
@@ -93,6 +96,7 @@ bench::Record point_record(const SweepPoint& p) {
       .exact("p99_update_ns", p99)
       .exact("events_fired", r.events_fired)
       .exact("trace_digest", r.trace_digest)
+      .exact("processes", r.processes)
       .ratio("events_per_sec", p.events_per_sec())
       .info("topology", p.topology)
       .info("nodes", p.nodes)
