@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace sv::sim {
@@ -94,6 +96,72 @@ TEST(ResourceTest, DirectHandoffPreventsBargeIn) {
   s.run();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "waiter");
+}
+
+/// Six users of one single-server resource arrive 1 us apart while a
+/// holder keeps it for 100 us, then each occupies it for 10 us. With
+/// `mixed`, every odd user is an event-driven callback (use(hold, then))
+/// instead of a blocked process. Returns (user, finish time) in finishing
+/// order plus the resource's busy integral.
+std::pair<std::vector<std::pair<int, SimTime>>, std::int64_t> interleaved(
+    bool mixed) {
+  Simulation s;
+  Resource r(&s, 1);
+  std::vector<std::pair<int, SimTime>> done;
+  s.spawn("holder", [&] { r.use(100_us); });
+  for (int i = 0; i < 6; ++i) {
+    const SimTime arrive = SimTime::microseconds(i + 1);
+    if (mixed && i % 2 == 1) {
+      s.schedule_at(arrive, [&, i] {
+        r.use(10_us, [&, i] { done.emplace_back(i, s.now()); });
+      });
+    } else {
+      s.spawn("w" + std::to_string(i), [&, i, arrive] {
+        s.delay(arrive);
+        r.use(10_us);
+        done.emplace_back(i, s.now());
+      });
+    }
+  }
+  s.run();
+  EXPECT_EQ(r.in_use(), 0);
+  EXPECT_EQ(r.queue_length(), 0u);
+  return {done, r.busy_ns()};
+}
+
+TEST(ResourceTest, CallbackAndBlockingWaitersShareOneFifo) {
+  const auto blocking = interleaved(/*mixed=*/false);
+  const auto mixed = interleaved(/*mixed=*/true);
+  ASSERT_EQ(blocking.first.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto user = static_cast<int>(i);
+    EXPECT_EQ(blocking.first[i].first, user);
+    EXPECT_EQ(blocking.first[i].second, SimTime::microseconds(110 + 10 * user));
+  }
+  EXPECT_EQ(mixed.first, blocking.first);
+  EXPECT_EQ(mixed.second, blocking.second);
+  EXPECT_EQ(mixed.second, 160'000);
+}
+
+TEST(ResourceTest, CallbackAcquireRunsInlineWhenFree) {
+  Simulation s;
+  Resource r(&s, 1);
+  bool first = false;
+  bool second = false;
+  s.schedule(SimTime::zero(), [&] {
+    r.acquire([&] { first = true; });
+    EXPECT_TRUE(first);  // free: granted at once, no event
+    r.acquire([&] { second = true; });
+    EXPECT_FALSE(second);  // queued behind the holder
+    EXPECT_EQ(s.engine().pending(), 0u);
+    r.release();  // hands the unit over through one event at now()
+    EXPECT_EQ(s.engine().pending(), 1u);
+    EXPECT_FALSE(second);
+  });
+  s.run();
+  EXPECT_TRUE(second);
+  EXPECT_EQ(r.in_use(), 1);
+  EXPECT_EQ(s.now(), SimTime::zero());
 }
 
 TEST(ResourceTest, TryAcquire) {
