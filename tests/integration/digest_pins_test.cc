@@ -1,8 +1,9 @@
 // Golden event-trace digest pins (DESIGN.md §8, §12).
 //
 // Each pinned workload is a scaled-down seeded run of a paper experiment
-// (fig04 ping-pong, fig08 paced updates, fig10 load balancing) or of the
-// fat-tree open loop (integration/pinned_scenarios.h). Its
+// (fig04 ping-pong, fig08 paced updates, fig10 load balancing), of the
+// fat-tree open loop, or of a detailed transport path
+// (integration/pinned_scenarios.h). Its
 // (events_fired, trace_digest) pair was captured on the original
 // std::priority_queue engine *before* the timing-wheel queue swap and
 // committed to tests/integration/digest_pins.txt. The test recomputes every
@@ -147,6 +148,14 @@ TEST(DigestPins, ScaleOpenLoopSocketVia) {
 TEST(DigestPins, ScaleOpenLoopTcp) {
   check_all_queues("scale_openloop_tcp");
 }
+
+TEST(DigestPins, LossyStreamTcp) { check_all_queues("tcp_lossy_stream"); }
+
+TEST(DigestPins, CreditStallSocketVia) {
+  check_all_queues("svia_credit_stall");
+}
+
+TEST(DigestPins, RdmaPingPong) { check_all_queues("rdma_pingpong"); }
 
 }  // namespace
 }  // namespace sv::harness

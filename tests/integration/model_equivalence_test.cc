@@ -14,7 +14,9 @@
 //              simulator's own bookkeeping, not model output).
 //
 // A refactor that re-pins digest_pins.txt must leave this file untouched;
-// that is the evidence the re-pin is behaviour-neutral.
+// that is the evidence the re-pin is behaviour-neutral. A scenario that
+// names the paths it exists to cover (ScenarioRun::exercised) also fails
+// here when one of them never ran.
 //
 // Regenerate (only for deliberate, understood model changes):
 //   ./build/tests/model_equivalence_test --update-pins
@@ -107,6 +109,9 @@ TEST_P(ModelEquivalence, DeliveriesAndRegistryMatchThePin) {
   std::remove(metrics.c_str());
 
   const ScenarioRun run = sc.run(sim::QueueKind::kTimingWheel, metrics);
+  for (const auto& [what, count] : run.exercised) {
+    EXPECT_GT(count, 0u) << sc.name << " never exercised " << what;
+  }
   std::ifstream json(metrics);
   ASSERT_TRUE(json.good()) << "scenario wrote no registry JSON";
   const std::string stripped = strip_sim_entries(json);
