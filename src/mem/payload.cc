@@ -1,6 +1,7 @@
 #include "mem/payload.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -66,8 +67,14 @@ Payload Payload::slice(std::uint64_t offset, std::uint64_t len) const {
 
 Payload Payload::concat(const Payload& tail) const {
   Payload out = *this;
-  for (const Span& s : tail.spans_) out.append_span(s);
+  out.append(tail);
   return out;
+}
+
+Payload& Payload::append(const Payload& tail) {
+  if (&tail == this) return append(Payload(tail));  // spans_ would grow under us
+  for (const Span& s : tail.spans_) append_span(s);
+  return *this;
 }
 
 std::byte Payload::read_byte(std::uint64_t i) const {
@@ -128,7 +135,9 @@ bool Payload::content_equals(const Payload& other) const {
     while (n > 0) {
       const std::uint64_t take = std::min(n, theirs->len - skip);
       const std::byte* other_data = theirs->bytes->data() + theirs->offset;
-      if (!std::equal(data, data + take, other_data + skip)) return false;
+      // std::equal over std::byte compares byte by byte in libstdc++;
+      // memcmp is the vectorized library compare.
+      if (std::memcmp(data, other_data + skip, take) != 0) return false;
       data += take;
       n -= take;
       skip += take;
@@ -179,7 +188,7 @@ Payload PayloadQueue::pop(std::uint64_t n) {
     Payload& front = parts_[head_];
     const std::uint64_t avail = front.size() - front_offset_;
     const std::uint64_t take = std::min(want, avail);
-    out = out.concat(front.slice(front_offset_, take));
+    out.append(front.slice(front_offset_, take));
     front_offset_ += take;
     want -= take;
     bytes_ -= take;

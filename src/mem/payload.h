@@ -72,6 +72,11 @@ class Payload {
   /// Zero-copy concatenation: `this` followed by `tail`. Shares storage.
   [[nodiscard]] Payload concat(const Payload& tail) const;
 
+  /// In-place concat(): appends `tail`'s spans to this chain, merging
+  /// adjacent views as concat() does, without rebuilding the span vector.
+  /// Assembling k parts this way is O(k), not O(k^2).
+  Payload& append(const Payload& tail);
+
   /// Bounds-guarded single-byte read; SV_ASSERT on virtual spans. Walks
   /// the span chain, so reading every byte this way costs O(bytes x
   /// spans); use for_each_span() for that.
@@ -95,7 +100,8 @@ class Payload {
   void copy_to(std::uint64_t offset, std::byte* dst, std::uint64_t len) const;
 
   /// Byte-wise equality of materialized contents (both must be fully
-  /// backed and of equal size). Used by tests; reads, never copies.
+  /// backed and of equal size). Reads, never copies: one memcmp per
+  /// overlap of the two chains' spans.
   [[nodiscard]] bool content_equals(const Payload& other) const;
 
  private:

@@ -145,6 +145,22 @@ TEST(PayloadTest, MultiSpanPayloadsMatchAFlatOracle) {
   EXPECT_FALSE(a.content_equals(chained(tail, {5, 4095})));
   EXPECT_FALSE(chained(tail, {5, 4095}).content_equals(whole));
 
+  // 64 KiB and more: long overlaps that differ only in the very last byte.
+  std::vector<std::byte> big(64 * 1024 + 300);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::byte>((i * 131 + 7) & 0xFF);
+  }
+  std::vector<std::byte> big_tail = big;
+  big_tail.back() ^= std::byte{0x01};
+  const Payload big_whole = Payload::copy_of(big.data(), big.size());
+  const Payload big_chain = chained(big, {1460, 40'000, 65'000});
+  EXPECT_TRUE(big_chain.content_equals(big_whole));
+  EXPECT_TRUE(big_whole.content_equals(big_chain));
+  EXPECT_FALSE(
+      big_whole.content_equals(Payload::copy_of(big_tail.data(), big.size())));
+  EXPECT_FALSE(big_chain.content_equals(chained(big_tail, {3, 33'333})));
+  EXPECT_FALSE(chained(big_tail, {65'535}).content_equals(big_chain));
+
   // A walk that stops early reports it.
   int calls = 0;
   EXPECT_FALSE(a.for_each_span([&](std::uint64_t, const std::byte*,
@@ -199,6 +215,35 @@ TEST(PayloadQueueTest, PopsSlicesAcrossPushBoundaries) {
   for (std::uint64_t i = 0; i < 200; ++i) {
     EXPECT_EQ(std::to_integer<unsigned>(all.read_byte(i)), i & 0xFF);
   }
+}
+
+TEST(PayloadQueueTest, PopsAWholeWindowAcrossMssSizedPushesInOnePass) {
+  // The TCP receive path: 45 in-order MSS-sized segments of one sender
+  // buffer, drained by a single 64 KiB read.
+  const Payload stream = patterned(45 * 1460);
+  PayloadQueue q;
+  for (std::uint64_t k = 0; k < 45; ++k) q.push(stream.slice(k * 1460, 1460));
+  const Payload frame = q.pop(64 * 1024);
+  EXPECT_EQ(frame.size(), 64u * 1024);
+  EXPECT_EQ(frame.span_count(), 1u);  // adjacent views merged back
+  EXPECT_TRUE(frame.content_equals(stream.slice(0, 64 * 1024)));
+  EXPECT_EQ(q.bytes(), 45u * 1460 - 64 * 1024);
+  EXPECT_TRUE(q.pop(q.bytes()).content_equals(
+      stream.slice(64 * 1024, 45 * 1460 - 64 * 1024)));
+}
+
+TEST(PayloadTest, AppendExtendsInPlaceAndMatchesConcat) {
+  const Payload p = patterned(3000);
+  Payload built = p.slice(0, 1000);
+  built.append(Payload::virtual_bytes(8)).append(p.slice(1000, 500));
+  built.append(p.slice(1500, 1500));
+  EXPECT_EQ(built.size(), 3008u);
+  EXPECT_EQ(built.span_count(), 3u);  // backed, virtual, backed (merged)
+  EXPECT_EQ(built.slice(1008, 2000).span_count(), 1u);
+  Payload twice = p.slice(0, 100);
+  twice.append(twice);  // self-append reads the chain before growing it
+  EXPECT_EQ(twice.size(), 200u);
+  EXPECT_TRUE(twice.slice(100, 100).content_equals(p.slice(0, 100)));
 }
 
 TEST(PayloadQueueTest, MixedVirtualAndBackedStreams) {
