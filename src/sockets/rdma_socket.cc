@@ -33,8 +33,8 @@ SocketPair RdmaPushSocket::make_pair(via::Nic& a, via::Nic& b,
   state->setup_side(0, a, std::move(va));
   state->setup_side(1, b, std::move(vb));
   for (int i = 0; i < 2; ++i) {
-    a.sim().spawn("rdma_sock.demux" + std::to_string(i),
-                  [state, i] { state->demux_loop(i); });
+    state->sides[static_cast<std::size_t>(i)].vi->recv_cq().on_completion(
+        [state, i] { state->kick_demux(i); });
   }
   std::unique_ptr<SvSocket> sa(new RdmaPushSocket(state, 0));
   std::unique_ptr<SvSocket> sb(new RdmaPushSocket(std::move(state), 1));
@@ -73,28 +73,40 @@ void RdmaPushSocket::PairState::post_control_recv(int i) {
 }
 
 void RdmaPushSocket::PairState::send_control(int i, imm::Kind kind,
-                                             std::uint32_t value) {
+                                             std::uint32_t value,
+                                             sim::InlineHandler then) {
   Side& s = sides[static_cast<std::size_t>(i)];
   via::Descriptor d;
   d.region = s.send_region;
   d.length = 0;
   d.immediate = imm::encode(kind, value);
-  s.vi->post_send(std::move(d));
+  s.vi->post_send(std::move(d), std::move(then));
+}
+
+void RdmaPushSocket::PairState::reap_sends(int i) {
+  Side& s = sides[static_cast<std::size_t>(i)];
   while (s.vi->send_cq().poll()) {
   }
 }
 
-void RdmaPushSocket::PairState::demux_loop(int i) {
+void RdmaPushSocket::PairState::kick_demux(int i) {
+  Side& me = sides[static_cast<std::size_t>(i)];
+  if (me.demux_busy) return;
+  me.demux_busy = true;
+  sim->schedule(SimTime::zero(),
+                [self = shared_from_this(), i] { self->demux_step(i); });
+}
+
+void RdmaPushSocket::PairState::demux_step(int i) {
   Side& me = sides[static_cast<std::size_t>(i)];
   Side& peer = sides[static_cast<std::size_t>(1 - i)];
-  while (true) {
-    via::Completion c = me.vi->recv_cq().wait();
-    if (c.status != via::Status::kSuccess) {
+  while (auto c = me.vi->recv_cq().poll()) {
+    if (c->status != via::Status::kSuccess) {
       throw std::logic_error("RdmaPushSocket: VIA receive error: " +
-                             std::string(via::status_name(c.status)));
+                             std::string(via::status_name(c->status)));
     }
     post_control_recv(i);  // keep the notification pool full
-    const imm::Decoded tag = imm::decode(c.immediate);
+    const imm::Decoded tag = imm::decode(c->immediate);
     switch (tag.kind) {
       case imm::Kind::kCredit:
         me.slots += tag.value;
@@ -122,13 +134,23 @@ void RdmaPushSocket::PairState::demux_loop(int i) {
           }
         }
         if (me.consumed_since_credit >= options.credit_batch) {
-          send_control(i, imm::Kind::kCredit, me.consumed_since_credit);
-          me.consumed_since_credit = 0;
+          send_control(i, imm::Kind::kCredit, me.consumed_since_credit,
+                       [self = shared_from_this(), i] {
+                         self->credits_returned(i);
+                       });
+          return;
         }
         break;
       }
     }
   }
+  me.demux_busy = false;
+}
+
+void RdmaPushSocket::PairState::credits_returned(int i) {
+  reap_sends(i);
+  sides[static_cast<std::size_t>(i)].consumed_since_credit = 0;
+  demux_step(i);
 }
 
 net::Node& RdmaPushSocket::local_node() const { return mine().nic->node(); }
@@ -220,7 +242,10 @@ void RdmaPushSocket::close_send() {
   Side& me = mine();
   if (me.send_closed) return;
   me.send_closed = true;
-  state_->send_control(side_, imm::Kind::kEof, 0);
+  state_->sim->await("rdma_sock.eof", [this](sim::InlineHandler done) {
+    state_->send_control(side_, imm::Kind::kEof, 0, std::move(done));
+  });
+  state_->reap_sends(side_);
 }
 
 }  // namespace sv::sockets

@@ -10,6 +10,11 @@
 //    the receiver returns them in batches), not per-buffer descriptors;
 //  - only the small notification completions touch the receiver's
 //    descriptor pool.
+//
+// As in SocketVIA, each side's notifications are consumed by a demux
+// handler that the receive CQ's completion callback wakes (DESIGN.md §5);
+// it co-owns the connection state, so socket handles may be destroyed at
+// any simulated time while the via::Nic objects outlive message flow.
 #pragma once
 
 #include <array>
@@ -74,9 +79,11 @@ class RdmaPushSocket final : public SvSocket {
     sim::Channel<net::Message> delivered;
     std::uint64_t pending_chunks = 0;
     std::uint32_t consumed_since_credit = 0;
+    /// The demux handler is running, scheduled, or returning slot credits.
+    bool demux_busy = false;
   };
 
-  struct PairState {
+  struct PairState : std::enable_shared_from_this<PairState> {
     PairState(sim::Simulation* sim_in, RdmaSocketOptions options_in)
         : sim(sim_in), options(options_in), sides{Side(sim_in, 0),
                                                   Side(sim_in, 1)} {}
@@ -86,8 +93,16 @@ class RdmaPushSocket final : public SvSocket {
 
     void setup_side(int i, via::Nic& nic, std::shared_ptr<via::Vi> vi);
     void post_control_recv(int i);
-    void send_control(int i, imm::Kind kind, std::uint32_t value);
-    void demux_loop(int i);
+    /// Posts a dataless control message (slot credits or EOF) on side i's
+    /// VI; `then` runs once the doorbell has been charged.
+    void send_control(int i, imm::Kind kind, std::uint32_t value,
+                      sim::InlineHandler then);
+    void reap_sends(int i);
+
+    // Side i's demux handler, one notification at a time.
+    void kick_demux(int i);
+    void demux_step(int i);
+    void credits_returned(int i);
   };
 
   RdmaPushSocket(std::shared_ptr<PairState> state, int side);

@@ -34,12 +34,8 @@ SocketPair DetailedViaSocket::make_pair(via::Nic& a, via::Nic& b,
   state->setup_side(0, a, std::move(va));
   state->setup_side(1, b, std::move(vb));
   for (int i = 0; i < 2; ++i) {
-    a.sim().spawn(
-        "via_sock.demux" + std::to_string(i) + ".node" +
-            std::to_string(state->sides[static_cast<std::size_t>(i)]
-                               .nic->node()
-                               .id()),
-        [state, i] { state->demux_loop(i); });
+    state->sides[static_cast<std::size_t>(i)].vi->recv_cq().on_completion(
+        [state, i] { state->kick_demux(i); });
   }
   std::unique_ptr<SvSocket> sa(new DetailedViaSocket(state, 0));
   std::unique_ptr<SvSocket> sb(new DetailedViaSocket(std::move(state), 1));
@@ -81,30 +77,41 @@ void DetailedViaSocket::PairState::post_one_recv(int i) {
 }
 
 void DetailedViaSocket::PairState::send_control(int i, imm::Kind kind,
-                                                std::uint32_t value) {
+                                                std::uint32_t value,
+                                                sim::InlineHandler then) {
   Side& s = sides[static_cast<std::size_t>(i)];
   via::Descriptor d;
   d.region = s.send_region;
   d.length = 0;
   d.immediate = imm::encode(kind, value);
-  s.vi->post_send(std::move(d));
+  s.vi->post_send(std::move(d), std::move(then));
+}
+
+void DetailedViaSocket::PairState::reap_sends(int i) {
+  Side& s = sides[static_cast<std::size_t>(i)];
   while (s.vi->send_cq().poll()) {
   }
 }
 
-void DetailedViaSocket::PairState::demux_loop(int i) {
+void DetailedViaSocket::PairState::kick_demux(int i) {
   Side& me = sides[static_cast<std::size_t>(i)];
-  Side& peer = sides[static_cast<std::size_t>(1 - i)];
-  while (true) {
-    via::Completion c = me.vi->recv_cq().wait();
-    if (c.status != via::Status::kSuccess) {
+  if (me.demux_busy) return;
+  me.demux_busy = true;
+  sim->schedule(SimTime::zero(),
+                [self = shared_from_this(), i] { self->demux_step(i); });
+}
+
+void DetailedViaSocket::PairState::demux_step(int i) {
+  Side& me = sides[static_cast<std::size_t>(i)];
+  while (auto c = me.vi->recv_cq().poll()) {
+    if (c->status != via::Status::kSuccess) {
       throw std::logic_error("SocketVIA: unexpected VIA receive error: " +
-                             std::string(via::status_name(c.status)));
+                             std::string(via::status_name(c->status)));
     }
     // Immediately re-post the consumed descriptor to keep the pool full —
     // the invariant that makes credit-gated sends always land.
     post_one_recv(i);
-    const imm::Decoded tag = imm::decode(c.immediate);
+    const imm::Decoded tag = imm::decode(c->immediate);
     switch (tag.kind) {
       case imm::Kind::kCredit:
         // Credits returned for data *this side* previously sent.
@@ -117,35 +124,64 @@ void DetailedViaSocket::PairState::demux_loop(int i) {
       case imm::Kind::kFirst:
         me.pending_chunks = tag.value;
         [[fallthrough]];
-      case imm::Kind::kCont: {
+      case imm::Kind::kCont:
         --me.pending_chunks;
         // Receiver-side socket bookkeeping delta over raw VIA.
-        sim->delay(SimTime::nanoseconds(100));
-        ++me.consumed_since_credit;
-        if (me.pending_chunks == 0) {
-          // The message is complete; metadata comes from the peer's side
-          // queue, in order.
-          sim->delay(SimTime::nanoseconds(250));
-          if (peer.outgoing_meta.empty()) {
-            throw std::logic_error("SocketVIA: data chunk without metadata");
-          }
-          net::Message m = std::move(peer.outgoing_meta.front());
-          peer.outgoing_meta.pop_front();
-          m.delivered_at = sim->now();
-          sim->obs().note_delivery(m.sent_at, m.delivered_at);
-          if (!me.delivered.closed()) {
-            me.delivered.send(std::move(m));
-          }
-        }
-        if (me.consumed_since_credit >= options.credit_batch) {
-          send_control(i, imm::Kind::kCredit, me.consumed_since_credit);
-          me.credit_updates->inc();
-          me.consumed_since_credit = 0;
-        }
-        break;
-      }
+        sim->schedule(SimTime::nanoseconds(100), [self = shared_from_this(),
+                                                  i] {
+          self->chunk_received(i);
+        });
+        return;
     }
   }
+  me.demux_busy = false;
+}
+
+void DetailedViaSocket::PairState::chunk_received(int i) {
+  Side& me = sides[static_cast<std::size_t>(i)];
+  ++me.consumed_since_credit;
+  if (me.pending_chunks == 0) {
+    sim->schedule(SimTime::nanoseconds(250),
+                  [self = shared_from_this(), i] { self->message_complete(i); });
+    return;
+  }
+  return_credits(i);
+}
+
+void DetailedViaSocket::PairState::message_complete(int i) {
+  Side& me = sides[static_cast<std::size_t>(i)];
+  Side& peer = sides[static_cast<std::size_t>(1 - i)];
+  // The message is complete; metadata comes from the peer's side queue, in
+  // order.
+  if (peer.outgoing_meta.empty()) {
+    throw std::logic_error("SocketVIA: data chunk without metadata");
+  }
+  net::Message m = std::move(peer.outgoing_meta.front());
+  peer.outgoing_meta.pop_front();
+  m.delivered_at = sim->now();
+  sim->obs().note_delivery(m.sent_at, m.delivered_at);
+  if (!me.delivered.closed()) {
+    me.delivered.send(std::move(m));
+  }
+  return_credits(i);
+}
+
+void DetailedViaSocket::PairState::return_credits(int i) {
+  Side& me = sides[static_cast<std::size_t>(i)];
+  if (me.consumed_since_credit < options.credit_batch) {
+    demux_step(i);
+    return;
+  }
+  send_control(i, imm::Kind::kCredit, me.consumed_since_credit,
+               [self = shared_from_this(), i] { self->credits_returned(i); });
+}
+
+void DetailedViaSocket::PairState::credits_returned(int i) {
+  Side& me = sides[static_cast<std::size_t>(i)];
+  reap_sends(i);
+  me.credit_updates->inc();
+  me.consumed_since_credit = 0;
+  demux_step(i);
 }
 
 net::Node& DetailedViaSocket::local_node() const {
@@ -252,7 +288,10 @@ void DetailedViaSocket::close_send() {
   Side& me = mine();
   if (me.send_closed) return;
   me.send_closed = true;
-  state_->send_control(side_, imm::Kind::kEof, 0);
+  state_->sim->await("via_sock.eof", [this](sim::InlineHandler done) {
+    state_->send_control(side_, imm::Kind::kEof, 0, std::move(done));
+  });
+  state_->reap_sends(side_);
 }
 
 }  // namespace sv::sockets
