@@ -6,8 +6,8 @@
 // hardware queue does and keeps the simulation deterministic.
 //
 // Waiters are continuations, all in one FIFO. Event-driven stages (the fast
-// fabric's wire and protocol stages) queue their next step directly with
-// the callback forms; a blocked process queues the handler that resumes
+// fabric's wire and protocol stages, the tcpstack and VIA engines) queue
+// their next step directly with the callback forms; a blocked process queues the handler that resumes
 // it, through Simulation::await. Either way a handoff in release() is one
 // event at now().
 #pragma once

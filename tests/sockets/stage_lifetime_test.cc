@@ -1,9 +1,11 @@
 // Lifetime contracts of the event-driven stages (DESIGN.md §5): the fast
-// fabric's wire and protocol stages and SendMux's per-lane sink run as
-// engine handlers, owned only by the events and resource waiters that
-// will run them. A Pipe or SendMux handle may be destroyed mid-flight, and
-// a Simulation may be destroyed with stage work still pending; the ASan +
-// UBSan job runs this suite with leak detection on.
+// fabric's wire and protocol stages, SendMux's per-lane sink, and the
+// detailed transports' engines (tcpstack, VIA, the SocketVIA and RDMA
+// demux) run as engine handlers, owned only by the events, resource
+// waiters and completion callbacks that will run them. A Pipe or SendMux
+// handle may be destroyed mid-flight, and a Simulation may be destroyed
+// with stage work still pending; the ASan + UBSan job runs this suite with
+// leak detection on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +15,9 @@
 
 #include "net/cluster.h"
 #include "net/fabric.h"
+#include "sockets/factory.h"
 #include "sockets/mux.h"
+#include "sockets/rdma_socket.h"
 
 namespace sv::sockets {
 namespace {
@@ -175,6 +179,125 @@ TEST(StageLifetimeTest, SimulationDestroyedBeforeClusterWithStagesPending) {
 
 TEST(StageLifetimeTest, SimulationDestroyedAfterClusterWithStagesPending) {
   destroy_mid_run(/*simulation_first=*/false);
+}
+
+enum class Detailed { kTcp, kSocketVia, kRdma };
+
+SocketPair connect_detailed(SocketFactory& factory, Detailed kind) {
+  switch (kind) {
+    case Detailed::kTcp:
+      return factory.connect(0, 1, net::Transport::kKernelTcp);
+    case Detailed::kSocketVia:
+      return factory.connect(0, 1, net::Transport::kSocketVia);
+    case Detailed::kRdma:
+      return RdmaPushSocket::make_pair(factory.via_nic(0),
+                                       factory.via_nic(1));
+  }
+  return {};
+}
+
+/// The detailed engines are handlers, not processes: connecting a pair
+/// and moving 64 KiB across it spawns nothing beyond the test's own
+/// receiver, and no process is left blocked afterwards.
+void expect_no_spawns(Detailed kind) {
+  sim::Simulation s;
+  net::Cluster cluster(&s, 2);
+  SocketFactory factory(&s, &cluster, Fidelity::kDetailed);
+  std::uint64_t before = 0;
+  std::uint64_t after_connect = 0;
+  std::uint64_t after_exchange = 0;
+  std::uint64_t received = 0;
+  s.spawn("app", [&] {
+    // The stacks and NICs come into being here too, lazily.
+    before = s.processes_spawned();
+    auto [a, b] = connect_detailed(factory, kind);
+    after_connect = s.processes_spawned();
+    s.spawn("rx", [&, b = std::move(b)]() mutable {
+      while (auto m = b->recv()) received += m->bytes;
+      after_exchange = s.processes_spawned();
+    });
+    a->send(net::Message{.bytes = 64_KiB});
+    a->close_send();
+  });
+  s.run();
+  EXPECT_EQ(after_connect, before);
+  EXPECT_EQ(after_exchange, before + 1);  // the receiver above
+  EXPECT_EQ(received, 64_KiB);
+  EXPECT_EQ(s.live_process_count(), 0u);
+}
+
+TEST(DetailedHandlerTest, TcpPairSpawnsNoProcess) {
+  expect_no_spawns(Detailed::kTcp);
+}
+
+TEST(DetailedHandlerTest, SocketViaPairSpawnsNoProcess) {
+  expect_no_spawns(Detailed::kSocketVia);
+}
+
+TEST(DetailedHandlerTest, RdmaPairSpawnsNoProcess) {
+  expect_no_spawns(Detailed::kRdma);
+}
+
+/// Streams 64 KiB messages and stops the run mid-flight, then destroys
+/// the objects in the order a scoped run does (factory, cluster,
+/// Simulation, the reverse of construction). Sockets live on the
+/// processes' stacks, so they go last, while the Simulation unwinds them.
+/// `loss` > 0 leaves TCP's retransmission and delayed-ACK timers armed;
+/// with `slow_reader` the receiver sleeps, so SocketVIA and RDMA senders
+/// wait on credits and TCP on a full window.
+void destroy_stream_mid_flight(Detailed kind, double loss, bool slow_reader) {
+  auto s = std::make_unique<sim::Simulation>();
+  auto cluster = std::make_unique<net::Cluster>(s.get(), 2);
+  if (loss > 0) {
+    cluster->install_faults(net::FaultPlan::uniform_loss(loss), 5);
+  }
+  auto factory =
+      std::make_unique<SocketFactory>(s.get(), cluster.get(),
+                                      Fidelity::kDetailed);
+  std::uint64_t sent = 0;
+  std::uint64_t received = 0;
+  s->spawn("app", [&] {
+    auto [a, b] = connect_detailed(*factory, kind);
+    s->spawn("rx", [&, b = std::move(b)]() mutable {
+      while (auto m = b->recv()) {
+        ++received;
+        if (slow_reader) s->delay(1_ms);
+      }
+    });
+    for (int i = 0; i < 64; ++i) {
+      a->send(net::Message{.bytes = 64_KiB});
+      ++sent;
+    }
+    a->close_send();
+  });
+  s->run_until(3_ms);
+  ASSERT_GT(sent, received);  // messages are in flight
+  ASSERT_GT(s->engine().pending(), 0u);
+  ASSERT_GT(s->live_process_count(), 0u);
+  if (loss > 0) {
+    ASSERT_GT(s->obs().registry.sum_counters(
+                  "tcpstack.segments_retransmitted{"),
+              0u);
+  }
+  factory.reset();
+  cluster.reset();
+  s.reset();
+}
+
+TEST(StageLifetimeTest, LossyTcpStreamDestroyedWithTimersArmed) {
+  destroy_stream_mid_flight(Detailed::kTcp, 0.05, /*slow_reader=*/false);
+}
+
+TEST(StageLifetimeTest, TcpStreamDestroyedWithTheWindowClosed) {
+  destroy_stream_mid_flight(Detailed::kTcp, 0.0, /*slow_reader=*/true);
+}
+
+TEST(StageLifetimeTest, SocketViaStreamDestroyedWhileWaitingOnCredits) {
+  destroy_stream_mid_flight(Detailed::kSocketVia, 0.0, /*slow_reader=*/true);
+}
+
+TEST(StageLifetimeTest, RdmaStreamDestroyedWhileWaitingOnSlots) {
+  destroy_stream_mid_flight(Detailed::kRdma, 0.0, /*slow_reader=*/true);
 }
 
 }  // namespace
